@@ -83,10 +83,10 @@ int main() {
       for (int i = 0; i < 4; ++i) {
         replicas.push_back(sim.Spawn<hotstuff::HotStuffReplica>(opts));
       }
-      std::vector<hotstuff::HotStuffClient*> clients;
+      std::vector<smr::QuorumClient*> clients;
       for (int c = 0; c < 8; ++c) {
-        clients.push_back(sim.Spawn<hotstuff::HotStuffClient>(
-            4, &registry, 5, "k" + std::to_string(c)));
+        clients.push_back(hotstuff::SpawnClient(
+            &sim, 4, &registry, 5, "k" + std::to_string(c)));
       }
       sim.Start();
       sim::Time t0 = sim.now();
@@ -128,7 +128,7 @@ int main() {
       for (int i = 0; i < 4; ++i) {
         replicas.push_back(sim.Spawn<pbft::PbftReplica>(opts));
       }
-      auto* client = sim.Spawn<pbft::PbftClient>(4, &registry, 48);
+      auto* client = pbft::SpawnClient(&sim, 4, &registry, 48);
       sim.Start();
       sim.RunUntil([&] { return client->done(); }, 600 * sim::kSecond);
       sim.RunFor(2 * sim::kSecond);
@@ -171,10 +171,10 @@ int main() {
       opts.batch_size = cfg.size;
       opts.batch_delay = cfg.delay;
       for (int i = 0; i < 4; ++i) sim.Spawn<pbft::PbftReplica>(opts);
-      std::vector<pbft::PbftClient*> clients;
+      std::vector<smr::QuorumClient*> clients;
       for (int c = 0; c < 6; ++c) {
-        clients.push_back(sim.Spawn<pbft::PbftClient>(
-            4, &registry, 6, "k" + std::to_string(c)));
+        clients.push_back(pbft::SpawnClient(
+            &sim, 4, &registry, 6, "k" + std::to_string(c)));
       }
       sim.Start();
       sim::Time t0 = sim.now();

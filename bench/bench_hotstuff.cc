@@ -34,10 +34,10 @@ HsRun RunHotStuff(int n, int clients, int ops_each, uint64_t seed) {
   for (int i = 0; i < n; ++i) {
     replicas.push_back(sim.Spawn<hotstuff::HotStuffReplica>(opts));
   }
-  std::vector<hotstuff::HotStuffClient*> cs;
+  std::vector<smr::QuorumClient*> cs;
   for (int c = 0; c < clients; ++c) {
-    cs.push_back(sim.Spawn<hotstuff::HotStuffClient>(
-        n, &registry, ops_each, "k" + std::to_string(c)));
+    cs.push_back(hotstuff::SpawnClient(
+        &sim, n, &registry, ops_each, "k" + std::to_string(c)));
   }
   sim.Start();
   sim::Time t0 = sim.now();
@@ -77,7 +77,7 @@ double RunPbftMsgs(int n, int ops, uint64_t seed) {
   opts.n = n;
   opts.registry = &registry;
   for (int i = 0; i < n; ++i) sim.Spawn<pbft::PbftReplica>(opts);
-  auto* client = sim.Spawn<pbft::PbftClient>(n, &registry, ops);
+  auto* client = pbft::SpawnClient(&sim, n, &registry, ops);
   sim.Start();
   sim.RunUntil([&] { return client->done(); }, 600 * sim::kSecond);
   const auto& types = sim.stats().sent_by_type;

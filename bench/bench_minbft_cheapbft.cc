@@ -31,7 +31,7 @@ int main() {
       opts.registry = &registry;
       opts.usig = &usig;
       for (int i = 0; i < 3; ++i) sim.Spawn<minbft::MinBftReplica>(opts);
-      auto* client = sim.Spawn<minbft::MinBftClient>(3, &registry, 20);
+      auto* client = minbft::SpawnClient(&sim, 3, &registry, 20);
       sim.Start();
       sim::Time t0 = sim.now();
       sim.RunUntil([&] { return client->done(); }, 240 * sim::kSecond);
@@ -51,7 +51,7 @@ int main() {
       opts.n = 4;
       opts.registry = &registry;
       for (int i = 0; i < 4; ++i) sim.Spawn<pbft::PbftReplica>(opts);
-      auto* client = sim.Spawn<pbft::PbftClient>(4, &registry, 20);
+      auto* client = pbft::SpawnClient(&sim, 4, &registry, 20);
       sim.Start();
       sim::Time t0 = sim.now();
       sim.RunUntil([&] { return client->done(); }, 240 * sim::kSecond);
@@ -85,7 +85,7 @@ int main() {
     for (int i = 0; i < 3; ++i) {
       replicas.push_back(sim.Spawn<cheapbft::CheapBftReplica>(opts));
     }
-    auto* client = sim.Spawn<cheapbft::CheapBftClient>(1, &registry, 24);
+    auto* client = cheapbft::SpawnClient(&sim, 1, &registry, 24);
     sim.Start();
 
     TextTable t({"phase", "mode at replicas", "completed", "prepares sent",

@@ -40,7 +40,7 @@ PbftRun Measure(int n, int ops, bool crash_primary, uint64_t seed) {
   for (int i = 0; i < n; ++i) {
     replicas.push_back(sim.Spawn<pbft::PbftReplica>(opts));
   }
-  auto* client = sim.Spawn<pbft::PbftClient>(n, &registry, ops);
+  auto* client = pbft::SpawnClient(&sim, n, &registry, ops);
   sim.Start();
   int warmup = ops / 4;
   sim.RunUntil([&] { return client->completed() >= warmup; },
@@ -54,7 +54,7 @@ PbftRun Measure(int n, int ops, bool crash_primary, uint64_t seed) {
   const auto& types = sim.stats().sent_by_type;
   uint64_t agreement = 0;
   for (const char* type :
-       {"pbft-request", "pre-prepare", "prepare", "commit", "pbft-reply"}) {
+       {"bft-request", "pre-prepare", "prepare", "commit", "bft-reply"}) {
     auto it = types.find(type);
     if (it != types.end()) agreement += it->second;
   }
@@ -125,7 +125,7 @@ int main() {
     for (int i = 0; i < 4; ++i) {
       replicas.push_back(sim.Spawn<pbft::PbftReplica>(opts));
     }
-    auto* client = sim.Spawn<pbft::PbftClient>(4, &registry, 40);
+    auto* client = pbft::SpawnClient(&sim, 4, &registry, 40);
     sim.Start();
     sim.RunUntil([&] { return client->done(); }, 600 * sim::kSecond);
     sim.RunFor(2 * sim::kSecond);

@@ -36,10 +36,10 @@ int main() {
     opts.batch_size = 4;
     opts.batch_delay = 2 * sim::kMillisecond;
     for (int i = 0; i < 4; ++i) sim.Spawn<pbft::PbftReplica>(opts);
-    std::vector<pbft::PbftClient*> clients;
+    std::vector<smr::QuorumClient*> clients;
     for (int c = 0; c < 6; ++c) {
-      clients.push_back(sim.Spawn<pbft::PbftClient>(
-          4, &registry, 8, "k" + std::to_string(c)));
+      clients.push_back(pbft::SpawnClient(
+          &sim, 4, &registry, 8, "k" + std::to_string(c)));
     }
     sim.Start();
     sim.RunUntil(

@@ -34,7 +34,7 @@ ModeRun Run(SeeMoReMode mode, sim::Duration cross_cloud_delay, uint64_t seed) {
   for (int i = 0; i < opts.n(); ++i) {
     replicas.push_back(sim.Spawn<SeeMoReReplica>(opts));
   }
-  auto* client = sim.Spawn<SeeMoReClient>(opts, 20);
+  auto* client = seemore::SpawnClient(&sim, opts, 20);
   // Delay model: 1ms inside a cloud, `cross_cloud_delay` across clouds.
   int private_n = opts.private_n();
   int n = opts.n();

@@ -60,14 +60,13 @@ Measured MeasureMultiPaxos() {
           static_cast<double>(sim.now() - t0) / sim::kMillisecond / cmds};
 }
 
-template <typename Replica, typename Client, typename Options>
-Measured MeasureBft(int n, int clients_extra, Options opts,
-                    crypto::KeyRegistry* registry) {
+/// `spawn_client(sim)` spawns the protocol's client for 20 "INC x" ops.
+template <typename Replica, typename Options, typename SpawnClientFn>
+Measured MeasureBft(int n, Options opts, SpawnClientFn spawn_client) {
   auto sim_owner = MakeFixedDelaySim(1);
   sim::Simulation& sim = *sim_owner;
   for (int i = 0; i < n; ++i) sim.Spawn<Replica>(opts);
-  auto* client = sim.Spawn<Client>(n, registry, 20, "x");
-  (void)clients_extra;
+  auto* client = spawn_client(&sim);
   sim.Start();
   sim.RunUntil([&] { return client->completed() >= 10; }, 120 * sim::kSecond);
   sim.stats().Reset();
@@ -105,8 +104,10 @@ int main() {
     pbft::PbftOptions opts;
     opts.n = 4;
     opts.registry = &registry;
-    Measured m = MeasureBft<pbft::PbftReplica, pbft::PbftClient>(4, 0, opts,
-                                                                 &registry);
+    Measured m =
+        MeasureBft<pbft::PbftReplica>(4, opts, [&](sim::Simulation* s) {
+          return pbft::SpawnClient(s, 4, &registry, 20);
+        });
     measured.AddRow({"PBFT", TextTable::Int(m.n),
                      TextTable::Num(m.messages_per_cmd, 1),
                      TextTable::Num(m.latency_ms, 1)});
@@ -116,8 +117,10 @@ int main() {
     zyzzyva::ZyzzyvaOptions opts;
     opts.n = 4;
     opts.registry = &registry;
-    Measured m = MeasureBft<zyzzyva::ZyzzyvaReplica, zyzzyva::ZyzzyvaClient>(
-        4, 0, opts, &registry);
+    Measured m =
+        MeasureBft<zyzzyva::ZyzzyvaReplica>(4, opts, [&](sim::Simulation* s) {
+          return s->Spawn<zyzzyva::ZyzzyvaClient>(4, &registry, 20);
+        });
     measured.AddRow({"Zyzzyva (case 1)", TextTable::Int(m.n),
                      TextTable::Num(m.messages_per_cmd, 1),
                      TextTable::Num(m.latency_ms, 1)});
@@ -129,8 +132,10 @@ int main() {
     opts.n = 3;
     opts.registry = &registry;
     opts.usig = &usig;
-    Measured m = MeasureBft<minbft::MinBftReplica, minbft::MinBftClient>(
-        3, 0, opts, &registry);
+    Measured m =
+        MeasureBft<minbft::MinBftReplica>(3, opts, [&](sim::Simulation* s) {
+          return minbft::SpawnClient(s, 3, &registry, 20);
+        });
     measured.AddRow({"MinBFT", TextTable::Int(m.n),
                      TextTable::Num(m.messages_per_cmd, 1),
                      TextTable::Num(m.latency_ms, 1)});
@@ -140,8 +145,10 @@ int main() {
     hotstuff::HotStuffOptions opts;
     opts.n = 4;
     opts.registry = &registry;
-    Measured m = MeasureBft<hotstuff::HotStuffReplica, hotstuff::HotStuffClient>(
-        4, 0, opts, &registry);
+    Measured m =
+        MeasureBft<hotstuff::HotStuffReplica>(4, opts, [&](sim::Simulation* s) {
+          return hotstuff::SpawnClient(s, 4, &registry, 20);
+        });
     measured.AddRow({"HotStuff (chained)", TextTable::Int(m.n),
                      TextTable::Num(m.messages_per_cmd, 1),
                      TextTable::Num(m.latency_ms, 1)});

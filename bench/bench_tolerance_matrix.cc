@@ -72,7 +72,7 @@ int main() {
     opts.n = 7;
     opts.registry = &registry;
     for (int i = 0; i < 7; ++i) sim.Spawn<pbft::PbftReplica>(opts);
-    auto* client = sim.Spawn<pbft::PbftClient>(7, &registry, 6);
+    auto* client = pbft::SpawnClient(&sim, 7, &registry, 6);
     for (int k = 0; k < crashes; ++k) sim.Crash(6 - k);
     sim.Start();
     return sim.RunUntil([&] { return client->done(); }, 30 * sim::kSecond);
@@ -88,7 +88,7 @@ int main() {
     opts.registry = &registry;
     opts.usig = &usig;
     for (int i = 0; i < 5; ++i) sim.Spawn<minbft::MinBftReplica>(opts);
-    auto* client = sim.Spawn<minbft::MinBftClient>(5, &registry, 6);
+    auto* client = minbft::SpawnClient(&sim, 5, &registry, 6);
     for (int k = 0; k < crashes; ++k) sim.Crash(4 - k);
     sim.Start();
     return sim.RunUntil([&] { return client->done(); }, 30 * sim::kSecond);
@@ -102,7 +102,7 @@ int main() {
     opts.n = 7;
     opts.registry = &registry;
     for (int i = 0; i < 7; ++i) sim.Spawn<hotstuff::HotStuffReplica>(opts);
-    auto* client = sim.Spawn<hotstuff::HotStuffClient>(7, &registry, 6);
+    auto* client = hotstuff::SpawnClient(&sim, 7, &registry, 6);
     for (int k = 0; k < crashes; ++k) sim.Crash(6 - k);
     sim.Start();
     return sim.RunUntil([&] { return client->done(); }, 60 * sim::kSecond);
@@ -116,7 +116,7 @@ int main() {
     opts.n = 5;
     opts.registry = &registry;
     for (int i = 0; i < 5; ++i) sim.Spawn<xft::XftReplica>(opts);
-    auto* client = sim.Spawn<xft::XftClient>(5, &registry, 6);
+    auto* client = xft::SpawnClient(&sim, 5, &registry, 6);
     for (int k = 0; k < crashes; ++k) sim.Crash(4 - k);
     sim.Start();
     return sim.RunUntil([&] { return client->done(); }, 60 * sim::kSecond);

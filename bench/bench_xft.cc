@@ -28,7 +28,7 @@ int main() {
     for (int i = 0; i < 5; ++i) {
       replicas.push_back(sim.Spawn<xft::XftReplica>(opts));
     }
-    auto* client = sim.Spawn<xft::XftClient>(5, &registry, 20);
+    auto* client = xft::SpawnClient(&sim, 5, &registry, 20);
     sim.Start();
     sim::Time t0 = sim.now();
     sim.RunUntil([&] { return client->done(); }, 240 * sim::kSecond);
@@ -59,7 +59,7 @@ int main() {
     for (int i = 0; i < 5; ++i) {
       replicas.push_back(sim.Spawn<xft::XftReplica>(opts));
     }
-    auto* client = sim.Spawn<xft::XftClient>(5, &registry, 16);
+    auto* client = xft::SpawnClient(&sim, 5, &registry, 16);
     sim.Start();
     sim.RunUntil([&] { return client->completed() >= 5; }, 120 * sim::kSecond);
     std::printf("sg(view 0) = {0,1,2}; crashing member 1...\n");

@@ -52,7 +52,7 @@ double RunPbft(int n, int ops, uint64_t seed) {
   opts.n = n;
   opts.registry = &registry;
   for (int i = 0; i < n; ++i) sim.Spawn<pbft::PbftReplica>(opts);
-  auto* client = sim.Spawn<pbft::PbftClient>(n, &registry, ops);
+  auto* client = pbft::SpawnClient(&sim, n, &registry, ops);
   sim.Start();
   sim.RunUntil([&] { return client->done(); }, 600 * sim::kSecond);
   return sim.stats().messages_sent / static_cast<double>(ops);

@@ -35,7 +35,7 @@ int main() {
     for (int i = 0; i < kN; ++i) {
       replicas.push_back(sim.Spawn<pbft::PbftReplica>(options));
     }
-    auto* client = sim.Spawn<pbft::PbftClient>(kN, &registry, kOps, "ledger");
+    auto* client = pbft::SpawnClient(&sim, kN, &registry, kOps, "ledger");
     sim.Start();
 
     // Crash the primary part-way: the view change rotates it out.
@@ -72,7 +72,7 @@ int main() {
       replicas.push_back(sim.Spawn<hotstuff::HotStuffReplica>(options));
     }
     auto* client =
-        sim.Spawn<hotstuff::HotStuffClient>(kN, &registry, kOps, "ledger");
+        hotstuff::SpawnClient(&sim, kN, &registry, kOps, "ledger");
     sim.Start();
 
     sim.RunUntil([&] { return client->completed() >= kOps / 2; },

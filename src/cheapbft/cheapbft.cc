@@ -80,11 +80,8 @@ void CheapBftReplica::Execute(Slot& slot) {
     CancelTimer(it->second);
     request_timers_.erase(it);
   }
-  auto reply = std::make_shared<ReplyMsg>();
-  reply->client_seq = slot.cmd.client_seq;
-  reply->replica = id();
-  reply->result = result;
-  Send(slot.cmd.client, reply);
+  Send(slot.cmd.client,
+       std::make_shared<smr::BftReplyMsg>(slot.cmd.client_seq, id(), result));
 
   // CheapTiny: propagate state to the passive replicas.
   if (mode_ == CheapMode::kCheapTiny) {
@@ -165,22 +162,20 @@ void CheapBftReplica::FinishSwitch() {
     auto deferred = std::move(deferred_requests_);
     deferred_requests_.clear();
     for (const auto& [cmd, sig] : deferred) {
-      OnMessage(id(), RequestMsg(cmd, sig));
+      OnMessage(id(), smr::BftRequestMsg(cmd, sig));
     }
   }
 }
 
 void CheapBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
+  if (const auto* m = dynamic_cast<const smr::BftRequestMsg*>(&msg)) {
     if (!ValidRequest(m->cmd, m->client_sig, *options_.registry)) return;
     auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
     auto done = results_.find(key);
     if (done != results_.end()) {
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->client_seq = m->cmd.client_seq;
-      reply->replica = id();
-      reply->result = done->second;
-      Send(m->cmd.client, reply);
+      Send(m->cmd.client,
+           std::make_shared<smr::BftReplyMsg>(m->cmd.client_seq, id(),
+                                              done->second));
       return;
     }
     if (mode_ == CheapMode::kSwitching) {
@@ -209,7 +204,8 @@ void CheapBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       slots_[prepare->seq].prepare_msg = prepare;
       Multicast(ActiveSet(), prepare);
     } else {
-      Send(Primary(), std::make_shared<RequestMsg>(m->cmd, m->client_sig));
+      Send(Primary(),
+           std::make_shared<smr::BftRequestMsg>(m->cmd, m->client_sig));
       if (request_timers_.count(key) == 0) {
         request_timers_[key] = SetTimer(options_.request_timeout,
                                         [this, key] {
@@ -354,57 +350,31 @@ void CheapBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
 // Client
 // ---------------------------------------------------------------------------
 
-CheapBftClient::CheapBftClient(int f, const crypto::KeyRegistry* registry,
-                               int ops, std::string key, sim::Duration retry)
-    : f_(f),
-      n_(2 * f + 1),
-      registry_(registry),
-      ops_(ops),
-      key_(std::move(key)),
-      retry_(retry) {}
+namespace {
 
-void CheapBftClient::OnStart() {
-  seq_ = 1;
-  SendCurrent(false);
-}
+class PanickingClient : public smr::QuorumClient {
+ public:
+  using QuorumClient::QuorumClient;
 
-void CheapBftClient::SendCurrent(bool broadcast) {
-  if (done()) return;
-  smr::Command cmd{id(), seq_, "INC " + key_};
-  crypto::Signature sig = registry_->Sign(id(), cmd.Hash());
-  if (broadcast) {
-    for (int i = 0; i < n_; ++i) {
-      Send(i, std::make_shared<CheapBftReplica::RequestMsg>(cmd, sig));
-    }
-  } else {
-    Send(0, std::make_shared<CheapBftReplica::RequestMsg>(cmd, sig));
-  }
-  CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_, [this] {
-    ++timeouts_;
-    // A timed-out client panics the cluster: CheapTiny cannot mask faults.
-    for (int i = 0; i < n_; ++i) {
+ protected:
+  void OnRetry() override {
+    for (int i = 0; i < n(); ++i) {
       Send(i, std::make_shared<CheapBftReplica::PanicMsg>());
     }
-    SendCurrent(true);
-  });
-}
-
-void CheapBftClient::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  const auto* m = dynamic_cast<const CheapBftReplica::ReplyMsg*>(&msg);
-  if (m == nullptr || m->client_seq != seq_ || done()) return;
-  reply_votes_[m->result].insert(from);
-  if (static_cast<int>(reply_votes_[m->result].size()) >= f_ + 1) {
-    results_.push_back(m->result);
-    reply_votes_.clear();
-    ++completed_;
-    ++seq_;
-    if (done()) {
-      CancelTimer(retry_timer_);
-    } else {
-      SendCurrent(false);
-    }
+    SendCurrent(/*broadcast=*/true);
   }
+};
+
+}  // namespace
+
+smr::QuorumClient* SpawnClient(sim::Simulation* sim, int f,
+                               const crypto::KeyRegistry* registry, int ops,
+                               std::string key) {
+  smr::QuorumClient::Rule rule;
+  rule.n = 2 * f + 1;
+  rule.quorum = f + 1;
+  rule.retry = 400 * sim::kMillisecond;
+  return sim->Spawn<PanickingClient>(rule, registry, ops, std::move(key));
 }
 
 }  // namespace consensus40::cheapbft

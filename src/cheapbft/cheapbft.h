@@ -11,6 +11,7 @@
 #include "crypto/signatures.h"
 #include "sim/simulation.h"
 #include "smr/command.h"
+#include "smr/quorum_client.h"
 #include "smr/state_machine.h"
 
 namespace consensus40::cheapbft {
@@ -44,23 +45,6 @@ class CheapBftReplica : public sim::Process {
  public:
   explicit CheapBftReplica(CheapBftOptions options);
 
-  struct RequestMsg : sim::Message {
-    RequestMsg(smr::Command c, crypto::Signature s)
-        : cmd(std::move(c)), client_sig(s) {}
-    const char* TypeName() const override { return "cheap-request"; }
-    int ByteSize() const override { return 48 + cmd.ByteSize(); }
-    smr::Command cmd;
-    crypto::Signature client_sig;
-  };
-  struct ReplyMsg : sim::Message {
-    const char* TypeName() const override { return "cheap-reply"; }
-    int ByteSize() const override {
-      return 24 + static_cast<int>(result.size());
-    }
-    uint64_t client_seq = 0;
-    int32_t replica = -1;
-    std::string result;
-  };
   struct PrepareMsg : sim::Message {
     const char* TypeName() const override { return "cheap-prepare"; }
     int ByteSize() const override { return 104 + cmd.ByteSize(); }
@@ -183,37 +167,13 @@ class CheapBftReplica : public sim::Process {
   std::vector<std::pair<smr::Command, crypto::Signature>> deferred_requests_;
 };
 
-/// CheapBFT client: sends to the primary, panics the cluster on timeout,
-/// accepts f+1 matching replies.
-class CheapBftClient : public sim::Process {
- public:
-  CheapBftClient(int f, const crypto::KeyRegistry* registry, int ops,
-                 std::string key = "x",
-                 sim::Duration retry = 400 * sim::kMillisecond);
-
-  int completed() const { return completed_; }
-  bool done() const { return completed_ >= ops_; }
-  const std::vector<std::string>& results() const { return results_; }
-
-  void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::Message& msg) override;
-
- private:
-  void SendCurrent(bool broadcast);
-
-  int f_;
-  int n_;
-  const crypto::KeyRegistry* registry_;
-  int ops_;
-  std::string key_;
-  sim::Duration retry_;
-  int completed_ = 0;
-  uint64_t seq_ = 0;
-  uint64_t retry_timer_ = 0;
-  int timeouts_ = 0;
-  std::map<std::string, std::set<sim::NodeId>> reply_votes_;
-  std::vector<std::string> results_;
-};
+/// Spawns a CheapBFT client (smr::QuorumClient) for a cluster of 2f+1:
+/// it sends to the pinned primary and accepts a result after f+1 matching
+/// replies. After 400 ms without one it PANICs every replica (CheapTiny
+/// cannot mask faults) before it rebroadcasts.
+smr::QuorumClient* SpawnClient(sim::Simulation* sim, int f,
+                               const crypto::KeyRegistry* registry, int ops,
+                               std::string key = "x");
 
 }  // namespace consensus40::cheapbft
 

@@ -1,9 +1,12 @@
 /// \file
 /// Factory declarations for every protocol's checker adapter. The
-/// definitions live next to the protocols they wrap (src/raft/
-/// raft_check.cc, src/pbft/pbft_check.cc, ...), so protocol authors keep
-/// ownership of their observables; this header is the checker-side
-/// roster.
+/// definitions live next to the protocols they wrap (src/pbft/
+/// pbft_check.cc, src/shard/shard_check.cc, ...), so protocol authors
+/// keep ownership of their observables; this header is the checker-side
+/// roster. Two adapters are shared: the ReplicaGroup protocols (Raft,
+/// Multi-Paxos, Crossword) run on MakeGroupAdapter below, and the BFT
+/// protocols describe themselves as a check::BftSpec (check/
+/// bft_adapter.h).
 ///
 /// Factories named *OutOfBounds* configure the protocol outside its
 /// stated fault/quorum model and exist so tests can assert the checker

@@ -58,7 +58,7 @@ struct Observation {
 };
 
 /// What each protocol implements to plug into the checker. Factories live
-/// next to the protocol (e.g. src/raft/raft_check.cc) and are declared in
+/// next to the protocol (e.g. src/pbft/pbft_check.cc) and are declared in
 /// check/adapters.h; the adapter owns everything the protocol needs
 /// beyond the simulation (key registries, clients, adversaries).
 class ProtocolAdapter {

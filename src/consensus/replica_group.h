@@ -64,8 +64,8 @@ struct GroupTuning {
 
 /// A replication group of one protocol, as seen from above the consensus
 /// layer. Implementations live next to their protocol (src/raft/
-/// raft_group.cc, src/paxos/multi_paxos_group.cc) so protocol authors
-/// keep ownership of the mapping.
+/// raft_group.cc, src/paxos/multi_paxos_group.cc, src/paxos/
+/// crossword_group.cc) so protocol authors keep ownership of the mapping.
 class ReplicaGroup {
  public:
   /// A decoded client-visible reply, normalized across protocols.
@@ -137,7 +137,9 @@ using GroupFactory = std::function<std::unique_ptr<ReplicaGroup>()>;
 void RegisterGroupProtocol(const std::string& name, GroupFactory factory);
 
 /// Instantiates a registered protocol; nullptr for unknown names. The
-/// built-in protocols (raft, multi_paxos) are registered on first use.
+/// built-in protocols (raft, multi_paxos, and the crossword family:
+/// crossword, crossword_rs, crossword_full, crossword_unsafe) are
+/// registered on first use.
 std::unique_ptr<ReplicaGroup> MakeGroup(const std::string& name);
 
 /// Sorted names of every registered protocol.

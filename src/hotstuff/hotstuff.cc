@@ -201,11 +201,8 @@ void HotStuffReplica::CommitChainUpTo(const crypto::Digest& hash) {
         results_[key] = result;
         executed_commands_.push_back(cmd);
       }
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->client_seq = cmd.client_seq;
-      reply->replica = id();
-      reply->result = result;
-      Send(cmd.client, reply);
+      Send(cmd.client,
+           std::make_shared<smr::BftReplyMsg>(cmd.client_seq, id(), result));
     }
     last_committed_hash_ = b.Hash();
     last_committed_height_ = b.height;
@@ -236,16 +233,14 @@ void HotStuffReplica::ProcessBlock(const Block& block) {
 }
 
 void HotStuffReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
+  if (const auto* m = dynamic_cast<const smr::BftRequestMsg*>(&msg)) {
     if (!ValidRequest(m->cmd, m->client_sig, *options_.registry)) return;
     auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
     auto done = results_.find(key);
     if (done != results_.end()) {
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->client_seq = m->cmd.client_seq;
-      reply->replica = id();
-      reply->result = done->second;
-      Send(m->cmd.client, reply);
+      Send(m->cmd.client,
+           std::make_shared<smr::BftReplyMsg>(m->cmd.client_seq, id(),
+                                              done->second));
       return;
     }
     if (pending_keys_.insert(key).second) {
@@ -327,46 +322,15 @@ void HotStuffReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
 // Client
 // ---------------------------------------------------------------------------
 
-HotStuffClient::HotStuffClient(int n, const crypto::KeyRegistry* registry,
-                               int ops, std::string key, sim::Duration retry)
-    : n_(n),
-      registry_(registry),
-      f_((n - 1) / 3),
-      ops_(ops),
-      key_(std::move(key)),
-      retry_(retry) {}
-
-void HotStuffClient::OnStart() {
-  seq_ = 1;
-  SendCurrent();
-}
-
-void HotStuffClient::SendCurrent() {
-  if (done()) return;
-  smr::Command cmd{id(), seq_, "INC " + key_};
-  crypto::Signature sig = registry_->Sign(id(), cmd.Hash());
-  for (int i = 0; i < n_; ++i) {
-    Send(i, std::make_shared<HotStuffReplica::RequestMsg>(cmd, sig));
-  }
-  CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_, [this] { SendCurrent(); });
-}
-
-void HotStuffClient::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  const auto* m = dynamic_cast<const HotStuffReplica::ReplyMsg*>(&msg);
-  if (m == nullptr || m->client_seq != seq_ || done()) return;
-  reply_votes_[m->result].insert(from);
-  if (static_cast<int>(reply_votes_[m->result].size()) >= f_ + 1) {
-    results_.push_back(m->result);
-    reply_votes_.clear();
-    ++completed_;
-    ++seq_;
-    if (done()) {
-      CancelTimer(retry_timer_);
-    } else {
-      SendCurrent();
-    }
-  }
+smr::QuorumClient* SpawnClient(sim::Simulation* sim, int n,
+                               const crypto::KeyRegistry* registry, int ops,
+                               std::string key) {
+  smr::QuorumClient::Rule rule;
+  rule.n = n;
+  rule.quorum = (n - 1) / 3 + 1;
+  rule.target = smr::QuorumClient::kBroadcast;
+  rule.retry = 800 * sim::kMillisecond;
+  return sim->Spawn<smr::QuorumClient>(rule, registry, ops, std::move(key));
 }
 
 }  // namespace consensus40::hotstuff

@@ -79,12 +79,9 @@ void MinBftReplica::MaybeExecute() {
         ++last_executed_;
       }
       DisarmRequestTimer(slot.cmd.client, slot.cmd.client_seq);
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->view = view_;
-      reply->client_seq = slot.cmd.client_seq;
-      reply->replica = id();
-      reply->result = result;
-      Send(slot.cmd.client, reply);
+      Send(slot.cmd.client,
+           std::make_shared<smr::BftReplyMsg>(slot.cmd.client_seq, id(), result,
+                                              view_));
     }
     ++expected_counter_;
   }
@@ -117,17 +114,14 @@ void MinBftReplica::StartViewChange(int64_t new_view) {
 }
 
 void MinBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
+  if (const auto* m = dynamic_cast<const smr::BftRequestMsg*>(&msg)) {
     if (!ValidRequest(m->cmd, m->client_sig, *options_.registry)) return;
     auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
     auto done = results_.find(key);
     if (done != results_.end()) {
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->view = view_;
-      reply->client_seq = m->cmd.client_seq;
-      reply->replica = id();
-      reply->result = done->second;
-      Send(m->cmd.client, reply);
+      Send(m->cmd.client,
+           std::make_shared<smr::BftReplyMsg>(m->cmd.client_seq, id(),
+                                              done->second, view_));
       return;
     }
     if (IsPrimary() && !in_view_change_) {
@@ -148,7 +142,7 @@ void MinBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       Multicast(Everyone(), prepare);
     } else if (!IsPrimary()) {
       Send(static_cast<sim::NodeId>(view_ % options_.n),
-           std::make_shared<RequestMsg>(m->cmd, m->client_sig));
+           std::make_shared<smr::BftRequestMsg>(m->cmd, m->client_sig));
       ArmRequestTimer(m->cmd);
     }
     return;
@@ -303,51 +297,14 @@ void MinBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
 // Client
 // ---------------------------------------------------------------------------
 
-MinBftClient::MinBftClient(int n, const crypto::KeyRegistry* registry,
-                           int ops, std::string key, sim::Duration retry)
-    : n_(n),
-      registry_(registry),
-      f_((n - 1) / 2),
-      ops_(ops),
-      key_(std::move(key)),
-      retry_(retry) {}
-
-void MinBftClient::OnStart() {
-  seq_ = 1;
-  SendCurrent(false);
-}
-
-void MinBftClient::SendCurrent(bool broadcast) {
-  if (done()) return;
-  smr::Command cmd{id(), seq_, "INC " + key_};
-  crypto::Signature sig = registry_->Sign(id(), cmd.Hash());
-  if (broadcast) {
-    for (int i = 0; i < n_; ++i) {
-      Send(i, std::make_shared<MinBftReplica::RequestMsg>(cmd, sig));
-    }
-  } else {
-    Send(primary_hint_, std::make_shared<MinBftReplica::RequestMsg>(cmd, sig));
-  }
-  CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_, [this] { SendCurrent(true); });
-}
-
-void MinBftClient::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  const auto* m = dynamic_cast<const MinBftReplica::ReplyMsg*>(&msg);
-  if (m == nullptr || m->client_seq != seq_ || done()) return;
-  reply_votes_[m->result].insert(from);
-  primary_hint_ = m->view % n_;
-  if (static_cast<int>(reply_votes_[m->result].size()) >= f_ + 1) {
-    results_.push_back(m->result);
-    reply_votes_.clear();
-    ++completed_;
-    ++seq_;
-    if (done()) {
-      CancelTimer(retry_timer_);
-    } else {
-      SendCurrent(false);
-    }
-  }
+smr::QuorumClient* SpawnClient(sim::Simulation* sim, int n,
+                               const crypto::KeyRegistry* registry, int ops,
+                               std::string key) {
+  smr::QuorumClient::Rule rule;
+  rule.n = n;
+  rule.quorum = (n - 1) / 2 + 1;
+  rule.follow_view = true;
+  return sim->Spawn<smr::QuorumClient>(rule, registry, ops, std::move(key));
 }
 
 }  // namespace consensus40::minbft

@@ -11,6 +11,7 @@
 #include "crypto/signatures.h"
 #include "sim/simulation.h"
 #include "smr/command.h"
+#include "smr/quorum_client.h"
 #include "smr/state_machine.h"
 
 namespace consensus40::minbft {
@@ -40,24 +41,6 @@ class MinBftReplica : public sim::Process {
  public:
   explicit MinBftReplica(MinBftOptions options);
 
-  struct RequestMsg : sim::Message {
-    RequestMsg(smr::Command c, crypto::Signature s)
-        : cmd(std::move(c)), client_sig(s) {}
-    const char* TypeName() const override { return "minbft-request"; }
-    int ByteSize() const override { return 48 + cmd.ByteSize(); }
-    smr::Command cmd;
-    crypto::Signature client_sig;
-  };
-  struct ReplyMsg : sim::Message {
-    const char* TypeName() const override { return "minbft-reply"; }
-    int ByteSize() const override {
-      return 24 + static_cast<int>(result.size());
-    }
-    int64_t view = 0;
-    uint64_t client_seq = 0;
-    int32_t replica = -1;
-    std::string result;
-  };
   struct PrepareMsg : sim::Message {
     const char* TypeName() const override { return "minbft-prepare"; }
     int ByteSize() const override { return 96 + cmd.ByteSize(); }
@@ -163,37 +146,12 @@ class MinBftReplica : public sim::Process {
   std::set<int64_t> built_new_views_;  ///< Guard against double NewView.
 };
 
-/// MinBFT client: identical interaction pattern to the PBFT client (f+1
-/// matching replies), with f drawn from n = 2f+1.
-class MinBftClient : public sim::Process {
- public:
-  MinBftClient(int n, const crypto::KeyRegistry* registry, int ops,
-               std::string key = "x",
-               sim::Duration retry = 500 * sim::kMillisecond);
-
-  int completed() const { return completed_; }
-  bool done() const { return completed_ >= ops_; }
-  const std::vector<std::string>& results() const { return results_; }
-
-  void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::Message& msg) override;
-
- private:
-  void SendCurrent(bool broadcast);
-
-  int n_;
-  const crypto::KeyRegistry* registry_;
-  int f_;
-  int ops_;
-  std::string key_;
-  sim::Duration retry_;
-  int completed_ = 0;
-  uint64_t seq_ = 0;
-  sim::NodeId primary_hint_ = 0;
-  uint64_t retry_timer_ = 0;
-  std::map<std::string, std::set<sim::NodeId>> reply_votes_;
-  std::vector<std::string> results_;
-};
+/// Spawns a MinBFT client (smr::QuorumClient): the PBFT client's pattern
+/// — primary of the last replied view, 500 ms rebroadcast — accepting a
+/// result after f+1 matching replies, with f drawn from n = 2f+1.
+smr::QuorumClient* SpawnClient(sim::Simulation* sim, int n,
+                               const crypto::KeyRegistry* registry, int ops,
+                               std::string key = "x");
 
 }  // namespace consensus40::minbft
 

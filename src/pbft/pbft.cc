@@ -118,12 +118,8 @@ void PbftReplica::HandleRequest(sim::NodeId /*from*/, const smr::Command& cmd,
   auto done = results_.find(key);
   if (done != results_.end()) {
     // Already executed: re-send the reply.
-    auto reply = std::make_shared<ReplyMsg>();
-    reply->view = view_;
-    reply->client_seq = cmd.client_seq;
-    reply->replica = id();
-    reply->result = done->second;
-    Send(cmd.client, reply);
+    Send(cmd.client, std::make_shared<smr::BftReplyMsg>(
+                         cmd.client_seq, id(), done->second, view_));
     return;
   }
 
@@ -154,7 +150,8 @@ void PbftReplica::HandleRequest(sim::NodeId /*from*/, const smr::Command& cmd,
   } else if (!IsPrimary()) {
     // Forward to the primary and watch it: pre-prepare picks the order,
     // timers guard liveness.
-    Send(PrimaryOf(view_), std::make_shared<RequestMsg>(cmd, client_sig));
+    Send(PrimaryOf(view_),
+         std::make_shared<smr::BftRequestMsg>(cmd, client_sig));
     ArmRequestTimer(cmd);
   }
 }
@@ -219,12 +216,8 @@ void PbftReplica::MaybeExecute() {
         auto key = std::make_pair(cmd.client, cmd.client_seq);
         results_[key] = result;
         DisarmRequestTimer(cmd.client, cmd.client_seq);
-        auto reply = std::make_shared<ReplyMsg>();
-        reply->view = view_;
-        reply->client_seq = cmd.client_seq;
-        reply->replica = id();
-        reply->result = result;
-        Send(cmd.client, reply);
+        Send(cmd.client, std::make_shared<smr::BftReplyMsg>(
+                             cmd.client_seq, id(), result, view_));
       }
     }
     ++last_executed_;
@@ -455,7 +448,7 @@ void PbftReplica::ProcessNewView(const NewViewMsg& msg) {
 }
 
 void PbftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
+  if (const auto* m = dynamic_cast<const smr::BftRequestMsg*>(&msg)) {
     HandleRequest(from, m->cmd, m->client_sig);
     return;
   }
@@ -737,53 +730,14 @@ void PbftReplica::OnRestart() {
 // Client
 // ---------------------------------------------------------------------------
 
-PbftClient::PbftClient(int n, const crypto::KeyRegistry* registry, int ops,
-                       std::string key, sim::Duration retry)
-    : n_(n),
-      registry_(registry),
-      f_((n - 1) / 3),
-      ops_(ops),
-      key_(std::move(key)),
-      retry_(retry) {}
-
-void PbftClient::OnStart() {
-  seq_ = 1;
-  SendCurrent(false);
-}
-
-void PbftClient::SendCurrent(bool broadcast) {
-  if (done()) return;
-  smr::Command cmd{id(), seq_, "INC " + key_};
-  crypto::Signature sig = registry_->Sign(id(), cmd.Hash());
-  if (broadcast) {
-    for (int i = 0; i < n_; ++i) {
-      Send(i, std::make_shared<PbftReplica::RequestMsg>(cmd, sig));
-    }
-  } else {
-    Send(primary_hint_,
-         std::make_shared<PbftReplica::RequestMsg>(cmd, sig));
-  }
-  CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_, [this] { SendCurrent(true); });
-}
-
-void PbftClient::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  const auto* m = dynamic_cast<const PbftReplica::ReplyMsg*>(&msg);
-  if (m == nullptr || m->client_seq != seq_ || done()) return;
-  reply_votes_[m->result].insert(from);
-  primary_hint_ = m->view % n_;
-  if (static_cast<int>(reply_votes_[m->result].size()) >= f_ + 1) {
-    // f+1 matching replies: at least one is from a correct replica.
-    results_.push_back(m->result);
-    reply_votes_.clear();
-    ++completed_;
-    ++seq_;
-    if (done()) {
-      CancelTimer(retry_timer_);
-    } else {
-      SendCurrent(false);
-    }
-  }
+smr::QuorumClient* SpawnClient(sim::Simulation* sim, int n,
+                               const crypto::KeyRegistry* registry, int ops,
+                               std::string key) {
+  smr::QuorumClient::Rule rule;
+  rule.n = n;
+  rule.quorum = (n - 1) / 3 + 1;
+  rule.follow_view = true;
+  return sim->Spawn<smr::QuorumClient>(rule, registry, ops, std::move(key));
 }
 
 }  // namespace consensus40::pbft

@@ -13,6 +13,7 @@
 #include "crypto/signatures.h"
 #include "sim/simulation.h"
 #include "smr/command.h"
+#include "smr/quorum_client.h"
 #include "smr/state_machine.h"
 
 namespace consensus40::pbft {
@@ -66,33 +67,11 @@ class PbftReplica : public sim::Process {
  public:
   explicit PbftReplica(PbftOptions options);
 
-  // --- Client-facing messages ---
-  struct RequestMsg : sim::Message {
-    RequestMsg(smr::Command c, crypto::Signature s)
-        : cmd(std::move(c)), client_sig(s) {}
-    const char* TypeName() const override { return "pbft-request"; }
-    int ByteSize() const override { return 48 + cmd.ByteSize(); }
-    smr::Command cmd;
-    /// Client's signature over cmd.Hash(): a Byzantine primary can reorder
-    /// or drop requests but never fabricate one.
-    crypto::Signature client_sig;
-  };
-
   /// True iff `cmd` is a well-formed request: either the protocol-internal
   /// NOOP filler or a command whose client signature verifies.
   static bool ValidRequest(const smr::Command& cmd,
                            const crypto::Signature& sig,
                            const crypto::KeyRegistry& registry);
-  struct ReplyMsg : sim::Message {
-    const char* TypeName() const override { return "pbft-reply"; }
-    int ByteSize() const override {
-      return 24 + static_cast<int>(result.size());
-    }
-    int64_t view = 0;
-    uint64_t client_seq = 0;
-    int32_t replica = -1;
-    std::string result;
-  };
 
   // --- Protocol messages (public so adversaries in tests can forge their
   //     own instances; honest replicas validate everything they receive) ---
@@ -319,39 +298,13 @@ class PbftReplica : public sim::Process {
   std::vector<std::string> violations_;
 };
 
-/// PBFT client: sends to the primary hint, rebroadcasts to all replicas on
-/// timeout (which triggers forwarding / view changes), accepts a result
-/// after f+1 matching replies.
-class PbftClient : public sim::Process {
- public:
-  PbftClient(int n, const crypto::KeyRegistry* registry, int ops,
-             std::string key = "x",
-             sim::Duration retry = 500 * sim::kMillisecond);
-
-  int completed() const { return completed_; }
-  bool done() const { return completed_ >= ops_; }
-  const std::vector<std::string>& results() const { return results_; }
-
-  void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::Message& msg) override;
-
- private:
-  void SendCurrent(bool broadcast);
-
-  int n_;
-  const crypto::KeyRegistry* registry_;
-  int f_;
-  int ops_;
-  std::string key_;
-  sim::Duration retry_;
-  int completed_ = 0;
-  uint64_t seq_ = 0;
-  sim::NodeId primary_hint_ = 0;
-  uint64_t retry_timer_ = 0;
-  /// result -> replicas that reported it for the current seq.
-  std::map<std::string, std::set<sim::NodeId>> reply_votes_;
-  std::vector<std::string> results_;
-};
+/// Spawns a PBFT client (smr::QuorumClient): it sends to the primary of
+/// the last view a reply named, rebroadcasts to all replicas after 500 ms
+/// (which triggers forwarding / view changes), and accepts a result after
+/// f+1 matching replies.
+smr::QuorumClient* SpawnClient(sim::Simulation* sim, int n,
+                               const crypto::KeyRegistry* registry, int ops,
+                               std::string key = "x");
 
 }  // namespace consensus40::pbft
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "check/adapters.h"
+#include "check/bft_adapter.h"
 #include "crypto/signatures.h"
 #include "pbft/pbft.h"
 #include "sim/byzantine.h"
@@ -157,97 +158,27 @@ sim::ByzantineInterposer::Hooks MakePbftByzantineHooks(
   return hooks;
 }
 
-class PbftCheckAdapter : public ProtocolAdapter {
- public:
-  explicit PbftCheckAdapter(uint64_t seed, int ops = 4)
-      : registry_(seed, kN + 4), ops_(ops) {}
-
-  const char* name() const override { return "pbft"; }
-
-  FaultBounds bounds() const override {
-    FaultBounds b;
-    b.nodes = kN;
-    b.max_crashed = (kN - 1) / 3;
-    b.restartable = true;
-    b.partitionable = true;
-    return b;
-  }
-
-  void Build(sim::Simulation* sim) override {
+BftSpec PbftSpec() {
+  constexpr int kN = 4;
+  BftSpec spec;
+  spec.name = spec.protocol = "pbft";
+  spec.n = kN;
+  spec.bounds.nodes = kN;
+  spec.bounds.max_crashed = (kN - 1) / 3;
+  spec.bounds.restartable = true;
+  spec.bounds.partitionable = true;
+  spec.spawn = [](BftCluster* c) {
     pbft::PbftOptions opts;
     opts.n = kN;
-    opts.registry = &registry_;
+    opts.registry = c->registry();
     opts.checkpoint_interval = 4;  // Exercise checkpointing in-sweep.
     for (int i = 0; i < kN; ++i) {
-      replicas_.push_back(sim->Spawn<pbft::PbftReplica>(opts));
+      c->AddReplica(c->sim()->Spawn<pbft::PbftReplica>(opts));
     }
-    client_ = sim->Spawn<pbft::PbftClient>(kN, &registry_, ops_);
-  }
-
-  bool Done() const override { return client_->done(); }
-
-  Observation Observe() const override {
-    Observation o;
-    for (const pbft::PbftReplica* r : replicas_) {
-      std::vector<std::string> log;
-      for (const smr::Command& cmd : r->executed_commands()) {
-        log.push_back(cmd.ToString());
-      }
-      o.logs.push_back(std::move(log));
-      for (const std::string& v : r->violations()) {
-        o.self_reported.push_back("pbft replica " + std::to_string(r->id()) +
-                                  ": " + v);
-      }
-    }
-    return o;
-  }
-
- protected:
-  static constexpr int kN = 4;
-  crypto::KeyRegistry registry_;
-  int ops_;
-  std::vector<pbft::PbftReplica*> replicas_;
-  pbft::PbftClient* client_ = nullptr;
-};
-
-/// In-bounds Byzantine PBFT: one of the four replicas may lie — forged
-/// twin pre-prepares, flipped votes, corrupted digests, withheld or
-/// replayed traffic — inside seed-chosen windows, and schedules may also
-/// be view-change-heavy bursts that repeatedly silence the primary. With
-/// at most f=1 liar the prepare/commit quorums must still force a single
-/// order, so every safety invariant must survive the sweep.
-class PbftByzantineAdapter : public PbftCheckAdapter {
- public:
-  explicit PbftByzantineAdapter(uint64_t seed)
-      : PbftCheckAdapter(seed, /*ops=*/12),
-        byz_(MakePbftByzantineHooks(&registry_)) {}
-
-  const char* name() const override { return "pbft_byz"; }
-
-  FaultBounds bounds() const override {
-    FaultBounds b = PbftCheckAdapter::bounds();
-    b.max_byzantine = 1;
-    b.byz_first_node = 0;
-    b.byz_nodes = kN;
-    b.byz_equivocate = true;
-    b.byz_withhold = true;
-    b.byz_mutate = true;
-    b.byz_replay = true;
-    // Matches PbftOptions::request_timeout, so a burst of primary
-    // silencings spaced one period apart forces consecutive view changes
-    // while the client burst is still in flight.
-    b.view_change_period = 300 * sim::kMillisecond;
-    return b;
-  }
-
-  void Build(sim::Simulation* sim) override {
-    PbftCheckAdapter::Build(sim);
-    byz_.Attach(sim);
-  }
-
- private:
-  sim::ByzantineInterposer byz_;
-};
+    c->SetClient(pbft::SpawnClient(c->sim(), kN, c->registry(), c->ops()));
+  };
+  return spec;
+}
 
 /// PBFT at n = 3, f = 1 (i.e. n = 3f): the implementation computes
 /// f' = 0, so replicas commit straight from a valid pre-prepare. One
@@ -289,8 +220,8 @@ class PbftOutOfBoundsAdapter : public ProtocolAdapter {
     }
     // Two clients keep two distinct requests in flight, so batches hold
     // reorderable pairs for most of the horizon.
-    sim->Spawn<pbft::PbftClient>(kN, &registry_, kOps, "a");
-    sim->Spawn<pbft::PbftClient>(kN, &registry_, kOps, "b");
+    pbft::SpawnClient(sim, kN, &registry_, kOps, "a");
+    pbft::SpawnClient(sim, kN, &registry_, kOps, "b");
     byz_.Attach(sim);
   }
 
@@ -330,14 +261,23 @@ class PbftOutOfBoundsAdapter : public ProtocolAdapter {
 
 }  // namespace
 
-AdapterFactory MakePbftAdapter() {
-  return [](uint64_t seed) { return std::make_unique<PbftCheckAdapter>(seed); };
-}
+AdapterFactory MakePbftAdapter() { return MakeBftAdapter(PbftSpec()); }
 
+/// In-bounds Byzantine PBFT: one of the four replicas may lie — forged
+/// twin pre-prepares, flipped votes, corrupted digests, withheld or
+/// replayed traffic — inside seed-chosen windows, and schedules may also
+/// be view-change-heavy bursts that repeatedly silence the primary. With
+/// at most f=1 liar the prepare/commit quorums must still force a single
+/// order, so every safety invariant must survive the sweep.
 AdapterFactory MakePbftByzantineAdapter() {
-  return [](uint64_t seed) {
-    return std::make_unique<PbftByzantineAdapter>(seed);
-  };
+  BftSpec spec = ByzantineTwin(PbftSpec());
+  spec.bounds.byz_equivocate = true;
+  // Matches PbftOptions::request_timeout, so a burst of primary
+  // silencings spaced one period apart forces consecutive view changes
+  // while the client burst is still in flight.
+  spec.bounds.view_change_period = 300 * sim::kMillisecond;
+  spec.hooks = MakePbftByzantineHooks;
+  return MakeBftAdapter(std::move(spec));
 }
 
 AdapterFactory MakePbftOutOfBoundsAdapter() {

@@ -121,11 +121,9 @@ void SeeMoReReplica::MaybeExecute() {
         results_[key] = result;
         executed_commands_.push_back(slot.cmd);
       }
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->client_seq = slot.cmd.client_seq;
-      reply->replica = id();
-      reply->result = result;
-      CountedSend(slot.cmd.client, reply);
+      CountedSend(slot.cmd.client,
+                  std::make_shared<smr::BftReplyMsg>(slot.cmd.client_seq, id(),
+                                                     result));
     }
     ++exec_cursor_;
   }
@@ -150,21 +148,19 @@ void SeeMoReReplica::SendAccept(uint64_t seq, Slot& slot) {
 }
 
 void SeeMoReReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
+  if (const auto* m = dynamic_cast<const smr::BftRequestMsg*>(&msg)) {
     if (!ValidRequest(m->cmd, m->client_sig, *options_.registry)) return;
     auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
     auto done = results_.find(key);
     if (done != results_.end()) {
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->client_seq = m->cmd.client_seq;
-      reply->replica = id();
-      reply->result = done->second;
-      CountedSend(m->cmd.client, reply);
+      CountedSend(m->cmd.client,
+                  std::make_shared<smr::BftReplyMsg>(m->cmd.client_seq, id(),
+                                                     done->second));
       return;
     }
     if (!IsPrimary()) {
       CountedSend(Primary(),
-                  std::make_shared<RequestMsg>(m->cmd, m->client_sig));
+                  std::make_shared<smr::BftRequestMsg>(m->cmd, m->client_sig));
       return;
     }
     if (MaybeActMaliciouslyOnRequest(m->cmd, m->client_sig)) return;
@@ -287,49 +283,15 @@ void SeeMoReReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
 // Client
 // ---------------------------------------------------------------------------
 
-SeeMoReClient::SeeMoReClient(SeeMoReOptions options, int ops, std::string key,
-                             sim::Duration retry)
-    : options_(options), ops_(ops), key_(std::move(key)), retry_(retry) {}
-
-sim::NodeId SeeMoReClient::Primary() const {
-  return options_.mode == SeeMoReMode::kMode3 ? options_.private_n() : 0;
-}
-
-void SeeMoReClient::OnStart() {
-  seq_ = 1;
-  SendCurrent(false);
-}
-
-void SeeMoReClient::SendCurrent(bool broadcast) {
-  if (done()) return;
-  smr::Command cmd{id(), seq_, "INC " + key_};
-  crypto::Signature sig = options_.registry->Sign(id(), cmd.Hash());
-  if (broadcast) {
-    for (int i = 0; i < options_.n(); ++i) {
-      Send(i, std::make_shared<SeeMoReReplica::RequestMsg>(cmd, sig));
-    }
-  } else {
-    Send(Primary(), std::make_shared<SeeMoReReplica::RequestMsg>(cmd, sig));
-  }
-  CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_, [this] { SendCurrent(true); });
-}
-
-void SeeMoReClient::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  const auto* m = dynamic_cast<const SeeMoReReplica::ReplyMsg*>(&msg);
-  if (m == nullptr || m->client_seq != seq_ || done()) return;
-  reply_votes_[m->result].insert(from);
-  if (static_cast<int>(reply_votes_[m->result].size()) >= options_.m + 1) {
-    results_.push_back(m->result);
-    reply_votes_.clear();
-    ++completed_;
-    ++seq_;
-    if (done()) {
-      CancelTimer(retry_timer_);
-    } else {
-      SendCurrent(false);
-    }
-  }
+smr::QuorumClient* SpawnClient(sim::Simulation* sim, SeeMoReOptions options,
+                               int ops, std::string key) {
+  smr::QuorumClient::Rule rule;
+  rule.n = options.n();
+  rule.quorum = options.m + 1;
+  rule.target =
+      options.mode == SeeMoReMode::kMode3 ? options.private_n() : 0;
+  return sim->Spawn<smr::QuorumClient>(rule, options.registry, ops,
+                                       std::move(key));
 }
 
 }  // namespace consensus40::seemore

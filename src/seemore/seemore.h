@@ -12,6 +12,7 @@
 #include "crypto/signatures.h"
 #include "sim/simulation.h"
 #include "smr/command.h"
+#include "smr/quorum_client.h"
 #include "smr/state_machine.h"
 
 namespace consensus40::seemore {
@@ -56,23 +57,6 @@ class SeeMoReReplica : public sim::Process {
  public:
   explicit SeeMoReReplica(SeeMoReOptions options);
 
-  struct RequestMsg : sim::Message {
-    RequestMsg(smr::Command c, crypto::Signature s)
-        : cmd(std::move(c)), client_sig(s) {}
-    const char* TypeName() const override { return "smr-request"; }
-    int ByteSize() const override { return 48 + cmd.ByteSize(); }
-    smr::Command cmd;
-    crypto::Signature client_sig;
-  };
-  struct ReplyMsg : sim::Message {
-    const char* TypeName() const override { return "smr-reply"; }
-    int ByteSize() const override {
-      return 24 + static_cast<int>(result.size());
-    }
-    uint64_t client_seq = 0;
-    int32_t replica = -1;
-    std::string result;
-  };
   struct ProposeMsg : sim::Message {
     const char* TypeName() const override { return "smr-propose"; }
     int ByteSize() const override { return 96 + cmd.ByteSize(); }
@@ -174,33 +158,11 @@ class SeeMoReReplica : public sim::Process {
   std::map<uint64_t, smr::Command> commit_cmds_;
 };
 
-/// SeeMoRe client: m+1 matching replies guarantee one correct reporter.
-class SeeMoReClient : public sim::Process {
- public:
-  SeeMoReClient(SeeMoReOptions options, int ops, std::string key = "x",
-                sim::Duration retry = 500 * sim::kMillisecond);
-
-  int completed() const { return completed_; }
-  bool done() const { return completed_ >= ops_; }
-  const std::vector<std::string>& results() const { return results_; }
-
-  void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::Message& msg) override;
-
- private:
-  void SendCurrent(bool broadcast);
-  sim::NodeId Primary() const;
-
-  SeeMoReOptions options_;
-  int ops_;
-  std::string key_;
-  sim::Duration retry_;
-  int completed_ = 0;
-  uint64_t seq_ = 0;
-  uint64_t retry_timer_ = 0;
-  std::map<std::string, std::set<sim::NodeId>> reply_votes_;
-  std::vector<std::string> results_;
-};
+/// Spawns a SeeMoRe client (smr::QuorumClient): it sends to the mode's
+/// primary, rebroadcasts after 500 ms, and accepts a result after m+1
+/// matching replies.
+smr::QuorumClient* SpawnClient(sim::Simulation* sim, SeeMoReOptions options,
+                               int ops, std::string key = "x");
 
 }  // namespace consensus40::seemore
 

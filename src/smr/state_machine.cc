@@ -188,7 +188,11 @@ std::string KvStore::Apply(const Command& cmd) {
     }
   }
   if (verb == "PUT" && t.size() >= 3) {
-    data_[t[1]] = t[2];
+    // The value is every byte after "PUT <key> ", spaces included.
+    constexpr char kSpace[] = " \t\n\v\f\r";
+    size_t key_at = cmd.op.find_first_not_of(
+        kSpace, cmd.op.find_first_not_of(kSpace) + verb.size());
+    data_[t[1]] = cmd.op.substr(key_at + t[1].size() + 1);
     return "OK";
   }
   if (verb == "GET" && t.size() >= 2) {

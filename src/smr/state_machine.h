@@ -30,7 +30,8 @@ class StateMachine {
 };
 
 /// An in-memory key-value store understanding:
-///   "PUT <key> <value>"          -> "OK"
+///   "PUT <key> <value>"          -> "OK"; the value is every byte after
+///                                   "PUT <key> ", spaces included
 ///   "GET <key>"                  -> value or "NIL"
 ///   "DEL <key>"                  -> "OK" or "NIL"
 ///   "SETNX <key> <value>"        -> "OK" if absent, else existing value

@@ -98,12 +98,9 @@ void XftReplica::MaybeExecute() {
         executed_commands_.push_back(slot.cmd);
       }
       DisarmRequestTimer(slot.cmd.client, slot.cmd.client_seq);
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->view = view_;
-      reply->client_seq = slot.cmd.client_seq;
-      reply->replica = id();
-      reply->result = result;
-      Send(slot.cmd.client, reply);
+      Send(slot.cmd.client,
+           std::make_shared<smr::BftReplyMsg>(slot.cmd.client_seq, id(), result,
+                                              view_));
       // Lazy replication to every peer: non-group replicas learn the log
       // this way, and a group member that missed a commit quorum (e.g. it
       // installed the view after the quorum formed) catches up instead of
@@ -175,17 +172,14 @@ void XftReplica::StartViewChange(int64_t new_view) {
 }
 
 void XftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
+  if (const auto* m = dynamic_cast<const smr::BftRequestMsg*>(&msg)) {
     if (!ValidRequest(m->cmd, m->client_sig, *options_.registry)) return;
     auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
     auto done = results_.find(key);
     if (done != results_.end()) {
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->view = view_;
-      reply->client_seq = m->cmd.client_seq;
-      reply->replica = id();
-      reply->result = done->second;
-      Send(m->cmd.client, reply);
+      Send(m->cmd.client,
+           std::make_shared<smr::BftReplyMsg>(m->cmd.client_seq, id(),
+                                              done->second, view_));
       // A retry for a request the leader already executed means some
       // group member is stuck behind a message gap and cannot reply —
       // the cached re-reply alone can never complete the client's f+1
@@ -216,7 +210,8 @@ void XftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       slots_[prepare->seq].prepare_msg = prepare;
       Multicast(SyncGroup(view_), prepare);
     } else if (id() != Leader(view_)) {
-      Send(Leader(view_), std::make_shared<RequestMsg>(m->cmd, m->client_sig));
+      Send(Leader(view_),
+           std::make_shared<smr::BftRequestMsg>(m->cmd, m->client_sig));
       // Every replica (inside or outside the group) watches the request:
       // a faulty synchronous group must be replaced by the whole cluster.
       ArmRequestTimer(m->cmd);
@@ -331,12 +326,9 @@ void XftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       // Reply as well: adoption may preempt this replica's own commit
       // path (the certificate proves the same commit), and the client
       // may be waiting on this very reply for its f+1 quorum.
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->view = view_;
-      reply->client_seq = cmd.client_seq;
-      reply->replica = id();
-      reply->result = results_[key];
-      Send(cmd.client, reply);
+      Send(cmd.client,
+           std::make_shared<smr::BftReplyMsg>(cmd.client_seq, id(),
+                                              results_[key], view_));
       pending_updates_.erase(it);
       ++exec_cursor_;
     }
@@ -473,52 +465,14 @@ void XftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
 // Client
 // ---------------------------------------------------------------------------
 
-XftClient::XftClient(int n, const crypto::KeyRegistry* registry, int ops,
-                     std::string key, sim::Duration retry)
-    : n_(n),
-      registry_(registry),
-      f_((n - 1) / 2),
-      ops_(ops),
-      key_(std::move(key)),
-      retry_(retry) {}
-
-void XftClient::OnStart() {
-  seq_ = 1;
-  SendCurrent(false);
-}
-
-void XftClient::SendCurrent(bool broadcast) {
-  if (done()) return;
-  smr::Command cmd{id(), seq_, "INC " + key_};
-  crypto::Signature sig = registry_->Sign(id(), cmd.Hash());
-  if (broadcast) {
-    for (int i = 0; i < n_; ++i) {
-      Send(i, std::make_shared<XftReplica::RequestMsg>(cmd, sig));
-    }
-  } else {
-    Send(leader_hint_, std::make_shared<XftReplica::RequestMsg>(cmd, sig));
-  }
-  CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_, [this] { SendCurrent(true); });
-}
-
-void XftClient::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  const auto* m = dynamic_cast<const XftReplica::ReplyMsg*>(&msg);
-  if (m == nullptr || m->client_seq != seq_ || done()) return;
-  reply_votes_[m->result].insert(from);
-  leader_hint_ = m->view % n_;
-  // f+1 matching replies = the whole synchronous group agrees.
-  if (static_cast<int>(reply_votes_[m->result].size()) >= f_ + 1) {
-    results_.push_back(m->result);
-    reply_votes_.clear();
-    ++completed_;
-    ++seq_;
-    if (done()) {
-      CancelTimer(retry_timer_);
-    } else {
-      SendCurrent(false);
-    }
-  }
+smr::QuorumClient* SpawnClient(sim::Simulation* sim, int n,
+                               const crypto::KeyRegistry* registry, int ops,
+                               std::string key) {
+  smr::QuorumClient::Rule rule;
+  rule.n = n;
+  rule.quorum = (n - 1) / 2 + 1;
+  rule.follow_view = true;
+  return sim->Spawn<smr::QuorumClient>(rule, registry, ops, std::move(key));
 }
 
 }  // namespace consensus40::xft

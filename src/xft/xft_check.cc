@@ -1,65 +1,40 @@
-/// Checker adapter for XFT (XPaxos): n=2f+1=5. The in-bounds model is
+/// Checker adapters for XFT (XPaxos): n=2f+1=5. The in-bounds model is
 /// crash faults only — XFT's bet is that crash faults and partitions
 /// together stay under f, and Byzantine-plus-partition "anarchy" is
 /// outside the model — so schedules crash up to f replicas and spike
 /// delays, but never cut the network.
 
-#include <memory>
-#include <string>
+#include <utility>
 
 #include "check/adapters.h"
-#include "crypto/signatures.h"
-#include "sim/byzantine.h"
+#include "check/bft_adapter.h"
 #include "xft/xft.h"
 
 namespace consensus40::check {
 namespace {
 
-class XftCheckAdapter : public ProtocolAdapter {
- public:
-  explicit XftCheckAdapter(uint64_t seed, int ops = 4)
-      : registry_(seed, kN + 4), ops_(ops) {}
-
-  const char* name() const override { return "xft"; }
-
-  FaultBounds bounds() const override {
-    FaultBounds b;
-    b.nodes = kN;
-    b.max_crashed = (kN - 1) / 2;
-    return b;
-  }
-
-  void Build(sim::Simulation* sim) override {
+BftSpec XftSpec() {
+  constexpr int kN = 5;
+  BftSpec spec;
+  spec.name = spec.protocol = "xft";
+  spec.n = kN;
+  spec.bounds.nodes = kN;
+  spec.bounds.max_crashed = (kN - 1) / 2;
+  spec.spawn = [](BftCluster* c) {
     xft::XftOptions opts;
     opts.n = kN;
-    opts.registry = &registry_;
+    opts.registry = c->registry();
     for (int i = 0; i < kN; ++i) {
-      replicas_.push_back(sim->Spawn<xft::XftReplica>(opts));
+      c->AddReplica(c->sim()->Spawn<xft::XftReplica>(opts));
     }
-    client_ = sim->Spawn<xft::XftClient>(kN, &registry_, ops_);
-  }
+    c->SetClient(xft::SpawnClient(c->sim(), kN, c->registry(), c->ops()));
+  };
+  return spec;
+}
 
-  bool Done() const override { return client_->done(); }
+}  // namespace
 
-  Observation Observe() const override {
-    Observation o;
-    for (const xft::XftReplica* r : replicas_) {
-      std::vector<std::string> log;
-      for (const smr::Command& cmd : r->executed_commands()) {
-        log.push_back(cmd.ToString());
-      }
-      o.logs.push_back(std::move(log));
-    }
-    return o;
-  }
-
- protected:
-  static constexpr int kN = 5;
-  crypto::KeyRegistry registry_;
-  int ops_;
-  std::vector<xft::XftReplica*> replicas_;
-  xft::XftClient* client_ = nullptr;
-};
+AdapterFactory MakeXftAdapter() { return MakeBftAdapter(XftSpec()); }
 
 /// In-bounds Byzantine XFT: one replica may withhold or replay outbound
 /// traffic — the non-anarchy slice of XFT's model, where a Byzantine
@@ -67,42 +42,10 @@ class XftCheckAdapter : public ProtocolAdapter {
 /// (crash + Byzantine) fault count stays under f. No mutate: a corrupted
 /// message plus a delay spike is indistinguishable from the
 /// partition-plus-Byzantine "anarchy" XFT explicitly does not claim.
-class XftByzantineAdapter : public XftCheckAdapter {
- public:
-  explicit XftByzantineAdapter(uint64_t seed)
-      : XftCheckAdapter(seed, /*ops=*/12) {}
-
-  const char* name() const override { return "xft_byz"; }
-
-  FaultBounds bounds() const override {
-    FaultBounds b = XftCheckAdapter::bounds();
-    b.max_byzantine = 1;
-    b.byz_first_node = 0;
-    b.byz_nodes = kN;
-    b.byz_withhold = true;
-    b.byz_replay = true;
-    return b;
-  }
-
-  void Build(sim::Simulation* sim) override {
-    XftCheckAdapter::Build(sim);
-    byz_.Attach(sim);
-  }
-
- private:
-  sim::ByzantineInterposer byz_;
-};
-
-}  // namespace
-
-AdapterFactory MakeXftAdapter() {
-  return [](uint64_t seed) { return std::make_unique<XftCheckAdapter>(seed); };
-}
-
 AdapterFactory MakeXftByzantineAdapter() {
-  return [](uint64_t seed) {
-    return std::make_unique<XftByzantineAdapter>(seed);
-  };
+  BftSpec spec = ByzantineTwin(XftSpec());
+  spec.bounds.byz_mutate = false;
+  return MakeBftAdapter(std::move(spec));
 }
 
 }  // namespace consensus40::check

@@ -72,7 +72,7 @@ void ZyzzyvaReplica::SpeculativelyExecute(const OrderReqMsg& order) {
 }
 
 void ZyzzyvaReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
+  if (const auto* m = dynamic_cast<const smr::BftRequestMsg*>(&msg)) {
     if (!ValidRequest(m->cmd, m->client_sig, *options_.registry)) return;
     auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
     auto cached = spec_cache_.find(key);
@@ -82,7 +82,7 @@ void ZyzzyvaReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     }
     if (!IsPrimary()) {
       // Forward; in full Zyzzyva this also arms the view-change watchdog.
-      Send(0, std::make_shared<RequestMsg>(m->cmd, m->client_sig));
+      Send(0, std::make_shared<smr::BftRequestMsg>(m->cmd, m->client_sig));
       return;
     }
     if (MaybeActMaliciouslyOnRequest(m->cmd, m->client_sig)) return;
@@ -197,7 +197,7 @@ void ZyzzyvaClient::SendCurrent() {
   commit_timer_ = 0;
   smr::Command cmd{id(), seq_, "INC " + key_};
   crypto::Signature sig = registry_->Sign(id(), cmd.Hash());
-  Send(0, std::make_shared<ZyzzyvaReplica::RequestMsg>(cmd, sig));
+  Send(0, std::make_shared<smr::BftRequestMsg>(cmd, sig));
   CancelTimer(retry_timer_);
   retry_timer_ = SetTimer(retry_, [this] {
     // Retransmit to everyone (replicas forward to the primary).
@@ -205,7 +205,7 @@ void ZyzzyvaClient::SendCurrent() {
     smr::Command cmd{id(), seq_, "INC " + key_};
     crypto::Signature sig = registry_->Sign(id(), cmd.Hash());
     for (int r = 0; r < n_; ++r) {
-      Send(r, std::make_shared<ZyzzyvaReplica::RequestMsg>(cmd, sig));
+      Send(r, std::make_shared<smr::BftRequestMsg>(cmd, sig));
     }
   });
 }

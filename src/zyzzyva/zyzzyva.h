@@ -12,6 +12,7 @@
 #include "crypto/signatures.h"
 #include "sim/simulation.h"
 #include "smr/command.h"
+#include "smr/quorum_client.h"
 #include "smr/state_machine.h"
 
 namespace consensus40::zyzzyva {
@@ -34,15 +35,6 @@ struct ZyzzyvaOptions {
 class ZyzzyvaReplica : public sim::Process {
  public:
   explicit ZyzzyvaReplica(ZyzzyvaOptions options);
-
-  struct RequestMsg : sim::Message {
-    RequestMsg(smr::Command c, crypto::Signature s)
-        : cmd(std::move(c)), client_sig(s) {}
-    const char* TypeName() const override { return "zyz-request"; }
-    int ByteSize() const override { return 48 + cmd.ByteSize(); }
-    smr::Command cmd;
-    crypto::Signature client_sig;
-  };
 
   /// Primary -> replicas: ordered request with history binding.
   struct OrderReqMsg : sim::Message {

@@ -1,65 +1,42 @@
-/// Checker adapter for Zyzzyva: n=3f+1=4, speculative execution with the
+/// Checker adapters for Zyzzyva: n=3f+1=4, speculative execution with the
 /// client as commit point. The module implements the agreement protocol
 /// only (no view changes), so the primary is shielded from faults and
 /// schedules crash at most f backups.
 
-#include <memory>
-#include <string>
+#include <utility>
 
 #include "check/adapters.h"
-#include "crypto/signatures.h"
-#include "sim/byzantine.h"
+#include "check/bft_adapter.h"
 #include "zyzzyva/zyzzyva.h"
 
 namespace consensus40::check {
 namespace {
 
-class ZyzzyvaCheckAdapter : public ProtocolAdapter {
- public:
-  explicit ZyzzyvaCheckAdapter(uint64_t seed, int ops = 4)
-      : registry_(seed, kN + 4), ops_(ops) {}
+constexpr int kN = 4;
 
-  const char* name() const override { return "zyzzyva"; }
-
-  FaultBounds bounds() const override {
-    FaultBounds b;
-    b.first_node = 1;  // No view change: the primary must stay up.
-    b.nodes = kN - 1;
-    b.max_crashed = (kN - 1) / 3;
-    return b;
-  }
-
-  void Build(sim::Simulation* sim) override {
+BftSpec ZyzzyvaSpec() {
+  BftSpec spec;
+  spec.name = spec.protocol = "zyzzyva";
+  spec.n = kN;
+  spec.bounds.first_node = 1;  // No view change: the primary must stay up.
+  spec.bounds.nodes = kN - 1;
+  spec.bounds.max_crashed = (kN - 1) / 3;
+  spec.spawn = [](BftCluster* c) {
     zyzzyva::ZyzzyvaOptions opts;
     opts.n = kN;
-    opts.registry = &registry_;
+    opts.registry = c->registry();
     for (int i = 0; i < kN; ++i) {
-      replicas_.push_back(sim->Spawn<zyzzyva::ZyzzyvaReplica>(opts));
+      c->AddReplica(c->sim()->Spawn<zyzzyva::ZyzzyvaReplica>(opts));
     }
-    client_ = sim->Spawn<zyzzyva::ZyzzyvaClient>(kN, &registry_, ops_);
-  }
+    c->SetClient(c->sim()->Spawn<zyzzyva::ZyzzyvaClient>(kN, c->registry(),
+                                                         c->ops()));
+  };
+  return spec;
+}
 
-  bool Done() const override { return client_->done(); }
+}  // namespace
 
-  Observation Observe() const override {
-    Observation o;
-    for (const zyzzyva::ZyzzyvaReplica* r : replicas_) {
-      std::vector<std::string> log;
-      for (const smr::Command& cmd : r->executed_commands()) {
-        log.push_back(cmd.ToString());
-      }
-      o.logs.push_back(std::move(log));
-    }
-    return o;
-  }
-
- protected:
-  static constexpr int kN = 4;
-  crypto::KeyRegistry registry_;
-  int ops_;
-  std::vector<zyzzyva::ZyzzyvaReplica*> replicas_;
-  zyzzyva::ZyzzyvaClient* client_ = nullptr;
-};
+AdapterFactory MakeZyzzyvaAdapter() { return MakeBftAdapter(ZyzzyvaSpec()); }
 
 /// In-bounds Byzantine Zyzzyva: one of the three BACKUPS may withhold,
 /// corrupt (generic interposer degradation: dropped), or replay its
@@ -69,45 +46,11 @@ class ZyzzyvaCheckAdapter : public ProtocolAdapter {
 /// test in tests/zyzzyva_test.cc). Speculative execution means a silent
 /// backup pushes clients off the 3f+1 fast path onto the 2f+1
 /// commit-certificate path, which is the transition worth hammering.
-class ZyzzyvaByzantineAdapter : public ZyzzyvaCheckAdapter {
- public:
-  explicit ZyzzyvaByzantineAdapter(uint64_t seed)
-      : ZyzzyvaCheckAdapter(seed, /*ops=*/12) {}
-
-  const char* name() const override { return "zyzzyva_byz"; }
-
-  FaultBounds bounds() const override {
-    FaultBounds b = ZyzzyvaCheckAdapter::bounds();
-    b.max_byzantine = 1;
-    b.byz_first_node = 1;  // Backups only, same window as crashes.
-    b.byz_nodes = kN - 1;
-    b.byz_withhold = true;
-    b.byz_mutate = true;
-    b.byz_replay = true;
-    return b;
-  }
-
-  void Build(sim::Simulation* sim) override {
-    ZyzzyvaCheckAdapter::Build(sim);
-    byz_.Attach(sim);
-  }
-
- private:
-  sim::ByzantineInterposer byz_;
-};
-
-}  // namespace
-
-AdapterFactory MakeZyzzyvaAdapter() {
-  return [](uint64_t seed) {
-    return std::make_unique<ZyzzyvaCheckAdapter>(seed);
-  };
-}
-
 AdapterFactory MakeZyzzyvaByzantineAdapter() {
-  return [](uint64_t seed) {
-    return std::make_unique<ZyzzyvaByzantineAdapter>(seed);
-  };
+  BftSpec spec = ByzantineTwin(ZyzzyvaSpec());
+  spec.bounds.byz_first_node = 1;  // Backups only, same window as crashes.
+  spec.bounds.byz_nodes = kN - 1;
+  return MakeBftAdapter(std::move(spec));
 }
 
 }  // namespace consensus40::check

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "crypto/signatures.h"
@@ -14,6 +16,7 @@
 #include "minbft/minbft.h"
 #include "pbft/pbft.h"
 #include "sim/simulation.h"
+#include "smr/quorum_client.h"
 #include "zyzzyva/zyzzyva.h"
 
 namespace consensus40 {
@@ -87,7 +90,7 @@ TEST(ByzantineHotStuffTest, EquivocatingLeaderCannotForkTheChain) {
   for (int i = 1; i < 4; ++i) {
     replicas.push_back(sim.Spawn<hotstuff::HotStuffReplica>(opts));
   }
-  auto* client = sim.Spawn<hotstuff::HotStuffClient>(4, &registry, 6);
+  auto* client = hotstuff::SpawnClient(&sim, 4, &registry, 6);
   sim.Start();
 
   // Fire double proposals repeatedly during the run.
@@ -126,51 +129,94 @@ TEST(ByzantineHotStuffTest, EquivocatingLeaderCannotForkTheChain) {
 // Lying repliers: a Byzantine replica sends corrupted results to clients
 // ---------------------------------------------------------------------------
 
-/// PBFT replica that participates honestly in agreement but LIES to the
-/// client about execution results.
-class LyingPbftReplica : public pbft::PbftReplica {
- public:
-  explicit LyingPbftReplica(pbft::PbftOptions options)
-      : PbftReplica(options) {}
+/// Turns `liar` into a replica that participates honestly in agreement
+/// but LIES to clients: every reply it sends reads "666". Returns the
+/// count of lies told.
+std::shared_ptr<int> MakeLiar(sim::Simulation* sim, sim::NodeId liar) {
+  auto lies = std::make_shared<int>(0);
+  sim->MarkByzantine(liar);
+  sim->SetInterposeFn([liar, lies](sim::NodeId from, sim::NodeId,
+                                   const sim::MessagePtr& msg) {
+    const auto* reply = dynamic_cast<const smr::BftReplyMsg*>(msg.get());
+    if (from != liar || reply == nullptr) return msg;
+    ++*lies;
+    return sim::MessagePtr(std::make_shared<smr::BftReplyMsg>(
+        reply->client_seq, reply->replica, "666", reply->view));
+  });
+  return lies;
+}
 
-  void OnMessage(sim::NodeId from, const sim::Message& msg) override {
-    PbftReplica::OnMessage(from, msg);
-    // After honest processing, chase every request with a forged reply.
-    if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->view = view();
-      reply->client_seq = m->cmd.client_seq;
-      reply->replica = id();
-      reply->result = "666";  // The lie.
-      Send(m->cmd.client, reply);
-    }
-  }
+/// One protocol under test: spawns its honest cluster and a client for
+/// 10 requests.
+struct LiarCase {
+  const char* name;
+  std::function<smr::QuorumClient*(sim::Simulation*, crypto::KeyRegistry*,
+                                   crypto::Usig*)>
+      build;
 };
 
-TEST(ByzantineRepliesTest, ClientRejectsMinorityLies) {
+class ByzantineRepliesTest : public ::testing::TestWithParam<LiarCase> {};
+
+TEST_P(ByzantineRepliesTest, ClientRejectsMinorityLies) {
   auto sim_owner = sim::Simulation::Builder(7).AutoStart(false).Build();
   sim::Simulation& sim = *sim_owner;
   crypto::KeyRegistry registry(7, 16);
-  pbft::PbftOptions opts;
-  opts.n = 4;
-  opts.registry = &registry;
-  std::vector<pbft::PbftReplica*> replicas;
-  replicas.push_back(sim.Spawn<pbft::PbftReplica>(opts));  // Honest primary.
-  auto* liar = sim.Spawn<LyingPbftReplica>(opts);
-  replicas.push_back(liar);
-  sim.MarkByzantine(liar->id());
-  for (int i = 2; i < 4; ++i) {
-    replicas.push_back(sim.Spawn<pbft::PbftReplica>(opts));
-  }
-  auto* client = sim.Spawn<pbft::PbftClient>(4, &registry, 10);
+  crypto::Usig usig(&registry);
+  smr::QuorumClient* client = GetParam().build(&sim, &registry, &usig);
+  std::shared_ptr<int> lies = MakeLiar(&sim, 1);
   sim.Start();
   ASSERT_TRUE(sim.RunUntil([&] { return client->done(); }, 240 * kSecond));
-  // Client accepted only the true counter values: the f+1 matching-reply
-  // rule filtered every "666".
+  EXPECT_GT(*lies, 0);
+  // Client accepted only the true counter values: the matching-reply
+  // quorum filtered every "666".
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(client->results()[i], std::to_string(i + 1)) << i;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, ByzantineRepliesTest,
+    ::testing::Values(
+        // n=4, quorum 2; the client follows the primary.
+        LiarCase{"pbft",
+                 [](sim::Simulation* sim, crypto::KeyRegistry* registry,
+                    crypto::Usig*) {
+                   pbft::PbftOptions opts;
+                   opts.n = 4;
+                   opts.registry = registry;
+                   for (int i = 0; i < 4; ++i) {
+                     sim->Spawn<pbft::PbftReplica>(opts);
+                   }
+                   return pbft::SpawnClient(sim, 4, registry, 10);
+                 }},
+        // n=3, quorum 2: the two honest replicas must carry every result.
+        LiarCase{"minbft",
+                 [](sim::Simulation* sim, crypto::KeyRegistry* registry,
+                    crypto::Usig* usig) {
+                   minbft::MinBftOptions opts;
+                   opts.n = 3;
+                   opts.registry = registry;
+                   opts.usig = usig;
+                   for (int i = 0; i < 3; ++i) {
+                     sim->Spawn<minbft::MinBftReplica>(opts);
+                   }
+                   return minbft::SpawnClient(sim, 3, registry, 10);
+                 }},
+        // n=4, quorum 2, leaderless broadcast.
+        LiarCase{"hotstuff",
+                 [](sim::Simulation* sim, crypto::KeyRegistry* registry,
+                    crypto::Usig*) {
+                   hotstuff::HotStuffOptions opts;
+                   opts.n = 4;
+                   opts.registry = registry;
+                   for (int i = 0; i < 4; ++i) {
+                     sim->Spawn<hotstuff::HotStuffReplica>(opts);
+                   }
+                   return hotstuff::SpawnClient(sim, 4, registry, 10);
+                 }}),
+    [](const ::testing::TestParamInfo<LiarCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // Silent replicas: liveness at exactly f, loss beyond f
@@ -192,7 +238,7 @@ TEST(ByzantineSilenceTest, PbftBoundary) {
     opts.n = 4;
     opts.registry = &registry;
     for (int i = 0; i < 4; ++i) sim.Spawn<pbft::PbftReplica>(opts);
-    auto* client = sim.Spawn<pbft::PbftClient>(4, &registry, 3);
+    auto* client = pbft::SpawnClient(&sim, 4, &registry, 3);
     for (int s = 0; s < silent; ++s) sim.Crash(3 - s);
     sim.Start();
     bool done = sim.RunUntil([&] { return client->done(); }, 30 * kSecond);
@@ -215,7 +261,7 @@ TEST(ByzantineSilenceTest, MinBftBoundary) {
     opts.registry = &registry;
     opts.usig = &usig;
     for (int i = 0; i < 3; ++i) sim.Spawn<minbft::MinBftReplica>(opts);
-    auto* client = sim.Spawn<minbft::MinBftClient>(3, &registry, 3);
+    auto* client = minbft::SpawnClient(&sim, 3, &registry, 3);
     for (int s = 0; s < silent; ++s) sim.Crash(2 - s);
     sim.Start();
     bool done = sim.RunUntil([&] { return client->done(); }, 30 * kSecond);

@@ -27,9 +27,10 @@ struct CheapCluster {
     }
   }
 
-  CheapBftClient* AddClient(int ops, const std::string& key = "x") {
-    clients.push_back(sim.Spawn<CheapBftClient>(
-        (static_cast<int>(replicas.size()) - 1) / 2, &registry, ops, key));
+  smr::QuorumClient* AddClient(int ops, const std::string& key = "x") {
+    clients.push_back(cheapbft::SpawnClient(
+        &sim, (static_cast<int>(replicas.size()) - 1) / 2, &registry, ops,
+        key));
     return clients.back();
   }
 
@@ -52,12 +53,12 @@ struct CheapCluster {
   crypto::KeyRegistry registry;
   crypto::Usig usig;
   std::vector<CheapBftReplica*> replicas;
-  std::vector<CheapBftClient*> clients;
+  std::vector<smr::QuorumClient*> clients;
 };
 
 TEST(CheapBftTest, CheapTinyCommitsWithFPlusOneActive) {
   CheapCluster cluster(1);  // n = 3, active = {0, 1}, passive = {2}.
-  CheapBftClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 60 * kSecond));
@@ -73,7 +74,7 @@ TEST(CheapBftTest, CheapTinyCommitsWithFPlusOneActive) {
 
 TEST(CheapBftTest, PassiveReplicaTracksStateViaUpdates) {
   CheapCluster cluster(1);
-  CheapBftClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 60 * kSecond));
@@ -85,7 +86,7 @@ TEST(CheapBftTest, PassiveReplicaTracksStateViaUpdates) {
 
 TEST(CheapBftTest, CheapTinyIsCheaperThanFullBroadcast) {
   CheapCluster cluster(2);  // n = 5, active = 3, passive = 2.
-  CheapBftClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 60 * kSecond));
@@ -100,7 +101,7 @@ TEST(CheapBftTest, CheapTinyIsCheaperThanFullBroadcast) {
 
 TEST(CheapBftTest, ActiveCrashTriggersSwitchToMinBft) {
   CheapCluster cluster(1);
-  CheapBftClient* client = cluster.AddClient(12);
+  auto* client = cluster.AddClient(12);
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil([&] { return client->completed() >= 4; },
                                    30 * kSecond));
@@ -121,7 +122,7 @@ TEST(CheapBftTest, ActiveCrashTriggersSwitchToMinBft) {
 
 TEST(CheapBftTest, SwitchPreservesExecutedPrefix) {
   CheapCluster cluster(1);
-  CheapBftClient* client = cluster.AddClient(20);
+  auto* client = cluster.AddClient(20);
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil([&] { return client->completed() >= 8; },
                                    60 * kSecond));
@@ -140,7 +141,7 @@ TEST(CheapBftTest, SwitchPreservesExecutedPrefix) {
 
 TEST(CheapBftTest, LargerClusterSwitchesToo) {
   CheapCluster cluster(2);  // n = 5.
-  CheapBftClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil([&] { return client->completed() >= 3; },
                                    60 * kSecond));

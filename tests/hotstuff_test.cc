@@ -26,9 +26,9 @@ struct HsCluster {
     }
   }
 
-  HotStuffClient* AddClient(int ops, const std::string& key = "x") {
-    clients.push_back(sim.Spawn<HotStuffClient>(
-        static_cast<int>(replicas.size()), &registry, ops, key));
+  smr::QuorumClient* AddClient(int ops, const std::string& key = "x") {
+    clients.push_back(hotstuff::SpawnClient(
+        &sim, static_cast<int>(replicas.size()), &registry, ops, key));
     return clients.back();
   }
 
@@ -54,12 +54,12 @@ struct HsCluster {
   sim::Simulation& sim;
   crypto::KeyRegistry registry;
   std::vector<HotStuffReplica*> replicas;
-  std::vector<HotStuffClient*> clients;
+  std::vector<smr::QuorumClient*> clients;
 };
 
 TEST(HotStuffTest, CommitsClientCommands) {
   HsCluster cluster(4);
-  HotStuffClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 120 * kSecond));
@@ -71,7 +71,7 @@ TEST(HotStuffTest, CommitsClientCommands) {
 
 TEST(HotStuffTest, LeaderRotatesEveryBlock) {
   HsCluster cluster(4);
-  HotStuffClient* client = cluster.AddClient(12);
+  auto* client = cluster.AddClient(12);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 120 * kSecond));
@@ -91,7 +91,7 @@ TEST(HotStuffTest, ReplicasConverge) {
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil(
       [&] {
-        for (const HotStuffClient* c : cluster.clients) {
+        for (const smr::QuorumClient* c : cluster.clients) {
           if (!c->done()) return false;
         }
         return true;
@@ -107,7 +107,7 @@ TEST(HotStuffTest, ReplicasConverge) {
 
 TEST(HotStuffTest, ToleratesFCrashes) {
   HsCluster cluster(4);
-  HotStuffClient* client = cluster.AddClient(8);
+  auto* client = cluster.AddClient(8);
   cluster.sim.Crash(2);
   cluster.sim.Start();
   ASSERT_TRUE(
@@ -117,7 +117,7 @@ TEST(HotStuffTest, ToleratesFCrashes) {
 
 TEST(HotStuffTest, CrashedLeaderSkippedByPacemaker) {
   HsCluster cluster(4);
-  HotStuffClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil([&] { return client->completed() >= 3; },
                                    60 * kSecond));
@@ -137,7 +137,7 @@ TEST(HotStuffTest, MessageComplexityIsLinear) {
   // all-to-one + one-to-all.
   auto messages_per_command = [](int n) {
     HsCluster cluster(n);
-    HotStuffClient* client = cluster.AddClient(10);
+    auto* client = cluster.AddClient(10);
     cluster.sim.Start();
     cluster.sim.RunUntil([&] { return client->done(); }, 240 * kSecond);
     EXPECT_TRUE(client->done()) << "n=" << n;
@@ -160,7 +160,7 @@ TEST(HotStuffTest, PipelinePacksManyCommandsPerChain) {
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil(
       [&] {
-        for (const HotStuffClient* c : cluster.clients) {
+        for (const smr::QuorumClient* c : cluster.clients) {
           if (!c->done()) return false;
         }
         return true;

@@ -63,9 +63,9 @@ struct MinBftCluster {
     }
   }
 
-  MinBftClient* AddClient(int ops, const std::string& key = "x") {
-    clients.push_back(sim.Spawn<MinBftClient>(
-        static_cast<int>(replicas.size()), &registry, ops, key));
+  smr::QuorumClient* AddClient(int ops, const std::string& key = "x") {
+    clients.push_back(minbft::SpawnClient(
+        &sim, static_cast<int>(replicas.size()), &registry, ops, key));
     return clients.back();
   }
 
@@ -90,12 +90,12 @@ struct MinBftCluster {
   crypto::KeyRegistry registry;
   crypto::Usig usig;
   std::vector<MinBftReplica*> replicas;
-  std::vector<MinBftClient*> clients;
+  std::vector<smr::QuorumClient*> clients;
 };
 
 TEST(MinBftTest, CommitsWithTwoFPlusOneReplicas) {
   MinBftCluster cluster(3);  // f = 1: only 3 replicas, not PBFT's 4.
-  MinBftClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 60 * kSecond));
@@ -107,7 +107,7 @@ TEST(MinBftTest, CommitsWithTwoFPlusOneReplicas) {
 
 TEST(MinBftTest, TwoPhasesOnly) {
   MinBftCluster cluster(3);
-  MinBftClient* client = cluster.AddClient(5);
+  auto* client = cluster.AddClient(5);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 60 * kSecond));
@@ -125,7 +125,7 @@ TEST(MinBftTest, ReplicasConverge) {
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil(
       [&] {
-        for (const MinBftClient* c : cluster.clients) {
+        for (const smr::QuorumClient* c : cluster.clients) {
           if (!c->done()) return false;
         }
         return true;
@@ -142,7 +142,7 @@ TEST(MinBftTest, ReplicasConverge) {
 
 TEST(MinBftTest, ToleratesBackupCrash) {
   MinBftCluster cluster(3);
-  MinBftClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Crash(2);  // f = 1 crash fault; quorum f+1 = 2 remains.
   cluster.sim.Start();
   ASSERT_TRUE(
@@ -152,7 +152,7 @@ TEST(MinBftTest, ToleratesBackupCrash) {
 
 TEST(MinBftTest, ViewChangeOnPrimaryCrash) {
   MinBftCluster cluster(3);
-  MinBftClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil([&] { return client->completed() >= 3; },
                                    30 * kSecond));
@@ -171,7 +171,7 @@ TEST(MinBftTest, ViewChangeOnPrimaryCrash) {
 
 TEST(MinBftTest, UiForgeryRejectedAndPrimaryDeposed) {
   MinBftCluster cluster(3, 1, /*byz_primary=*/true);
-  MinBftClient* client = cluster.AddClient(6);
+  auto* client = cluster.AddClient(6);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 240 * kSecond));

@@ -74,9 +74,9 @@ struct PbftCluster {
     }
   }
 
-  PbftClient* AddClient(int ops, const std::string& key = "x") {
-    clients.push_back(sim.Spawn<PbftClient>(
-        static_cast<int>(replicas.size()), &registry, ops, key));
+  smr::QuorumClient* AddClient(int ops, const std::string& key = "x") {
+    clients.push_back(pbft::SpawnClient(
+        &sim, static_cast<int>(replicas.size()), &registry, ops, key));
     return clients.back();
   }
 
@@ -107,12 +107,12 @@ struct PbftCluster {
   sim::Simulation& sim;
   crypto::KeyRegistry registry;
   std::vector<PbftReplica*> replicas;
-  std::vector<PbftClient*> clients;
+  std::vector<smr::QuorumClient*> clients;
 };
 
 TEST(PbftTest, FaultFreeCaseCommits) {
   PbftCluster cluster(4);
-  PbftClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 60 * kSecond));
@@ -128,7 +128,7 @@ TEST(PbftTest, FaultFreeCaseCommits) {
 
 TEST(PbftTest, ReplicasConvergeAndCheckpoint) {
   PbftCluster cluster(4);
-  PbftClient* client = cluster.AddClient(40);
+  auto* client = cluster.AddClient(40);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 120 * kSecond));
@@ -145,7 +145,7 @@ TEST(PbftTest, ReplicasConvergeAndCheckpoint) {
 
 TEST(PbftTest, ToleratesFCrashedBackups) {
   PbftCluster cluster(4);
-  PbftClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Crash(2);  // One backup down: f=1 tolerated.
   cluster.sim.Start();
   ASSERT_TRUE(
@@ -155,7 +155,7 @@ TEST(PbftTest, ToleratesFCrashedBackups) {
 
 TEST(PbftTest, CannotProgressBeyondF) {
   PbftCluster cluster(4);
-  PbftClient* client = cluster.AddClient(5);
+  auto* client = cluster.AddClient(5);
   cluster.sim.Crash(2);
   cluster.sim.Crash(3);  // Two faults with f=1: no quorum of 3.
   cluster.sim.Start();
@@ -167,7 +167,7 @@ TEST(PbftTest, CannotProgressBeyondF) {
 
 TEST(PbftTest, ViewChangeOnPrimaryCrash) {
   PbftCluster cluster(4);
-  PbftClient* client = cluster.AddClient(12);
+  auto* client = cluster.AddClient(12);
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil([&] { return client->completed() >= 3; },
                                    30 * kSecond));
@@ -187,7 +187,7 @@ TEST(PbftTest, ViewChangeOnPrimaryCrash) {
 
 TEST(PbftTest, EquivocatingPrimaryCannotSplitState) {
   PbftCluster cluster(4, 1, /*byzantine_primary=*/0);
-  PbftClient* client = cluster.AddClient(8);
+  auto* client = cluster.AddClient(8);
   cluster.sim.Start();
   // Progress requires deposing the equivocator via view change.
   ASSERT_TRUE(
@@ -209,7 +209,7 @@ TEST(PbftTest, MessageComplexityIsQuadratic) {
   // The deck: PBFT agreement is O(N^2) per request.
   auto messages_per_request = [](int n) {
     PbftCluster cluster(n);
-    PbftClient* client = cluster.AddClient(10);
+    auto* client = cluster.AddClient(10);
     cluster.sim.Start();
     cluster.sim.RunUntil([&] { return client->done(); }, 120 * kSecond);
     EXPECT_TRUE(client->done()) << "n=" << n;
@@ -231,7 +231,7 @@ TEST(PbftTest, MessageComplexityIsQuadratic) {
 // agreement messages.
 TEST(PbftTest, RestartedReplicaCatchesUpViaStateTransfer) {
   PbftCluster cluster(4);
-  PbftClient* client = cluster.AddClient(40);
+  auto* client = cluster.AddClient(40);
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil([&] { return client->completed() >= 5; },
                                    60 * kSecond));
@@ -255,7 +255,7 @@ TEST(PbftTest, RestartedReplicaCatchesUpViaStateTransfer) {
 // NewView proof.
 TEST(PbftTest, RestartedReplicaLearnsNewView) {
   PbftCluster cluster(4);
-  PbftClient* client = cluster.AddClient(20);
+  auto* client = cluster.AddClient(20);
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil([&] { return client->completed() >= 3; },
                                    60 * kSecond));
@@ -283,10 +283,10 @@ TEST(PbftTest, BatchingFoldsConcurrentRequests) {
   opts.batch_delay = 3 * kMillisecond;
   std::vector<PbftReplica*> replicas;
   for (int i = 0; i < 4; ++i) replicas.push_back(sim.Spawn<PbftReplica>(opts));
-  std::vector<PbftClient*> clients;
+  std::vector<smr::QuorumClient*> clients;
   for (int c = 0; c < 6; ++c) {
     clients.push_back(
-        sim.Spawn<PbftClient>(4, &registry, 6, "k" + std::to_string(c)));
+        pbft::SpawnClient(&sim, 4, &registry, 6, "k" + std::to_string(c)));
   }
   sim.Start();
   ASSERT_TRUE(sim.RunUntil(
@@ -320,7 +320,7 @@ TEST(PbftTest, MultipleClientsInterleaveSafely) {
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil(
       [&] {
-        for (const PbftClient* c : cluster.clients) {
+        for (const smr::QuorumClient* c : cluster.clients) {
           if (!c->done()) return false;
         }
         return true;
@@ -347,7 +347,7 @@ TEST(PbftTest, MultipleClientsInterleaveSafely) {
 // plus builder/receiver symmetry (both skip invalid proofs).
 TEST(PbftTest, RecoversFromPartitionStraddlingViewChangeStorm) {
   PbftCluster cluster(4, /*seed=*/93);
-  PbftClient* client = cluster.AddClient(12);  // Client is process 4.
+  auto* client = cluster.AddClient(12);  // Client is process 4.
   cluster.sim.ScheduleAt(155 * kMillisecond,
                          [&] { cluster.sim.Partition({{0, 1, 4}, {2, 3}}); });
   cluster.sim.ScheduleAt(300 * kMillisecond, [&] { cluster.sim.Crash(2); });
@@ -366,7 +366,7 @@ TEST(PbftTest, RecoversFromPartitionStraddlingViewChangeStorm) {
 // negotiation, not the storm's length.
 TEST(PbftTest, ViewChangeStormKeepsBookkeepingBounded) {
   PbftCluster cluster(4);
-  PbftClient* client = cluster.AddClient(16);
+  auto* client = cluster.AddClient(16);
   // Strand the cluster without a quorum for a while: every replica keeps
   // escalating its pending view, piling up view-change messages for many
   // distinct target views.
@@ -390,7 +390,7 @@ TEST(PbftTest, ViewChangeStormKeepsBookkeepingBounded) {
 // view would depose a perfectly live primary and churn views forever.
 TEST(PbftTest, NoViewChurnAfterViewInstalls) {
   PbftCluster cluster(4);
-  PbftClient* client = cluster.AddClient(12);
+  auto* client = cluster.AddClient(12);
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil([&] { return client->completed() >= 3; },
                                    30 * kSecond));

@@ -116,7 +116,7 @@ Adapter PbftAdapter(Fixture* fx) {
   a.n = 4;
   a.tolerates_restart = true;  // Checkpoints + state transfer.
   auto replicas = std::make_shared<std::vector<pbft::PbftReplica*>>();
-  auto client = std::make_shared<pbft::PbftClient*>(nullptr);
+  auto client = std::make_shared<smr::QuorumClient*>(nullptr);
   a.build = [fx, replicas, client](sim::Simulation* sim, int ops) {
     pbft::PbftOptions opts;
     opts.n = 4;
@@ -125,7 +125,7 @@ Adapter PbftAdapter(Fixture* fx) {
     for (int i = 0; i < 4; ++i) {
       replicas->push_back(sim->Spawn<pbft::PbftReplica>(opts));
     }
-    *client = sim->Spawn<pbft::PbftClient>(4, fx->registry.get(), ops);
+    *client = pbft::SpawnClient(sim, 4, fx->registry.get(), ops);
   };
   a.completed = [client] { return (*client)->completed(); };
   a.done = [client] { return (*client)->done(); };
@@ -144,7 +144,7 @@ Adapter MinBftAdapter(Fixture* fx) {
   a.n = 3;
   a.tolerates_restart = false;
   auto replicas = std::make_shared<std::vector<minbft::MinBftReplica*>>();
-  auto client = std::make_shared<minbft::MinBftClient*>(nullptr);
+  auto client = std::make_shared<smr::QuorumClient*>(nullptr);
   a.build = [fx, replicas, client](sim::Simulation* sim, int ops) {
     minbft::MinBftOptions opts;
     opts.n = 3;
@@ -153,7 +153,7 @@ Adapter MinBftAdapter(Fixture* fx) {
     for (int i = 0; i < 3; ++i) {
       replicas->push_back(sim->Spawn<minbft::MinBftReplica>(opts));
     }
-    *client = sim->Spawn<minbft::MinBftClient>(3, fx->registry.get(), ops);
+    *client = minbft::SpawnClient(sim, 3, fx->registry.get(), ops);
   };
   a.completed = [client] { return (*client)->completed(); };
   a.done = [client] { return (*client)->done(); };
@@ -172,7 +172,7 @@ Adapter HotStuffAdapter(Fixture* fx) {
   a.n = 4;
   a.tolerates_restart = false;
   auto replicas = std::make_shared<std::vector<hotstuff::HotStuffReplica*>>();
-  auto client = std::make_shared<hotstuff::HotStuffClient*>(nullptr);
+  auto client = std::make_shared<smr::QuorumClient*>(nullptr);
   a.build = [fx, replicas, client](sim::Simulation* sim, int ops) {
     hotstuff::HotStuffOptions opts;
     opts.n = 4;
@@ -180,7 +180,7 @@ Adapter HotStuffAdapter(Fixture* fx) {
     for (int i = 0; i < 4; ++i) {
       replicas->push_back(sim->Spawn<hotstuff::HotStuffReplica>(opts));
     }
-    *client = sim->Spawn<hotstuff::HotStuffClient>(4, fx->registry.get(), ops);
+    *client = hotstuff::SpawnClient(sim, 4, fx->registry.get(), ops);
   };
   a.completed = [client] { return (*client)->completed(); };
   a.done = [client] { return (*client)->done(); };
@@ -199,7 +199,7 @@ Adapter XftAdapter(Fixture* fx) {
   a.n = 5;
   a.tolerates_restart = false;
   auto replicas = std::make_shared<std::vector<xft::XftReplica*>>();
-  auto client = std::make_shared<xft::XftClient*>(nullptr);
+  auto client = std::make_shared<smr::QuorumClient*>(nullptr);
   a.build = [fx, replicas, client](sim::Simulation* sim, int ops) {
     xft::XftOptions opts;
     opts.n = 5;
@@ -207,7 +207,7 @@ Adapter XftAdapter(Fixture* fx) {
     for (int i = 0; i < 5; ++i) {
       replicas->push_back(sim->Spawn<xft::XftReplica>(opts));
     }
-    *client = sim->Spawn<xft::XftClient>(5, fx->registry.get(), ops);
+    *client = xft::SpawnClient(sim, 5, fx->registry.get(), ops);
   };
   a.completed = [client] { return (*client)->completed(); };
   a.done = [client] { return (*client)->done(); };

@@ -69,8 +69,8 @@ struct SeeMoReCluster {
     }
   }
 
-  SeeMoReClient* AddClient(int ops, const std::string& key = "x") {
-    clients.push_back(sim.Spawn<SeeMoReClient>(opts, ops, key));
+  smr::QuorumClient* AddClient(int ops, const std::string& key = "x") {
+    clients.push_back(seemore::SpawnClient(&sim, opts, ops, key));
     return clients.back();
   }
 
@@ -103,14 +103,14 @@ struct SeeMoReCluster {
   sim::Simulation& sim;
   crypto::KeyRegistry registry;
   std::vector<SeeMoReReplica*> replicas;
-  std::vector<SeeMoReClient*> clients;
+  std::vector<smr::QuorumClient*> clients;
 };
 
 class SeeMoReModeTest : public ::testing::TestWithParam<SeeMoReMode> {};
 
 TEST_P(SeeMoReModeTest, CommitsAndConverges) {
   SeeMoReCluster cluster(1, 1, GetParam());
-  SeeMoReClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 120 * kSecond));
@@ -132,13 +132,13 @@ INSTANTIATE_TEST_SUITE_P(AllModes, SeeMoReModeTest,
 
 TEST(SeeMoReTest, Mode2ReducesPrivateCloudLoad) {
   SeeMoReCluster mode1(1, 1, SeeMoReMode::kMode1);
-  SeeMoReClient* c1 = mode1.AddClient(10);
+  auto* c1 = mode1.AddClient(10);
   mode1.sim.Start();
   ASSERT_TRUE(mode1.sim.RunUntil([&] { return c1->done(); }, 120 * kSecond));
   mode1.sim.RunFor(1 * kSecond);
 
   SeeMoReCluster mode2(1, 1, SeeMoReMode::kMode2);
-  SeeMoReClient* c2 = mode2.AddClient(10);
+  auto* c2 = mode2.AddClient(10);
   mode2.sim.Start();
   ASSERT_TRUE(mode2.sim.RunUntil([&] { return c2->done(); }, 120 * kSecond));
   mode2.sim.RunFor(1 * kSecond);
@@ -169,7 +169,7 @@ TEST(SeeMoReTest, Mode1QuorumIsLargerThanMode2) {
 
 TEST(SeeMoReTest, Mode3ValidationBlocksEquivocation) {
   SeeMoReCluster cluster(1, 1, SeeMoReMode::kMode3, 1, /*byz_primary=*/true);
-  SeeMoReClient* client = cluster.AddClient(3);
+  auto* client = cluster.AddClient(3);
   cluster.sim.Start();
   // The equivocating primary cannot gather a validation quorum on either
   // branch (no view change implemented => no progress), but safety holds.
@@ -185,7 +185,7 @@ TEST(SeeMoReTest, Mode3ValidationBlocksEquivocation) {
 
 TEST(SeeMoReTest, Mode1ToleratesPrivateCrashes) {
   SeeMoReCluster cluster(1, 2, SeeMoReMode::kMode1);  // n = 3+4+1 = 8.
-  SeeMoReClient* client = cluster.AddClient(8);
+  auto* client = cluster.AddClient(8);
   // Crash c = 2 private (non-primary) nodes.
   cluster.sim.Crash(1);
   cluster.sim.Crash(2);
@@ -197,7 +197,7 @@ TEST(SeeMoReTest, Mode1ToleratesPrivateCrashes) {
 
 TEST(SeeMoReTest, Mode3ToleratesByzantineSilentProxy) {
   SeeMoReCluster cluster(1, 1, SeeMoReMode::kMode3);
-  SeeMoReClient* client = cluster.AddClient(8);
+  auto* client = cluster.AddClient(8);
   // Silence one non-primary proxy (crash models a silent Byzantine node).
   cluster.sim.Crash(cluster.opts.private_n() + 1);
   cluster.sim.Start();

@@ -34,6 +34,18 @@ TEST(KvStoreTest, PutGetDel) {
   EXPECT_EQ(kv.Apply(Cmd(0, 5, "DEL a")), "NIL");
 }
 
+// A PUT value runs to the end of the op: "PUT k hello world" stores
+// "hello world", not just its first word.
+TEST(KvStoreTest, PutKeepsEveryByteOfTheValue) {
+  KvStore kv;
+  EXPECT_EQ(kv.Apply(Cmd(0, 1, "PUT k hello world")), "OK");
+  EXPECT_EQ(kv.Apply(Cmd(0, 2, "GET k")), "hello world");
+  EXPECT_EQ(kv.Apply(Cmd(0, 3, "PUT k  two  spaces ")), "OK");
+  EXPECT_EQ(*kv.Get("k"), " two  spaces ");
+  EXPECT_EQ(kv.Apply(Cmd(0, 4, "PUT  k2 v")), "OK");
+  EXPECT_EQ(*kv.Get("k2"), "v");
+}
+
 TEST(KvStoreTest, CasSemantics) {
   KvStore kv;
   kv.Apply(Cmd(0, 1, "PUT a 1"));

@@ -26,9 +26,9 @@ struct XftCluster {
     }
   }
 
-  XftClient* AddClient(int ops, const std::string& key = "x") {
-    clients.push_back(sim.Spawn<XftClient>(
-        static_cast<int>(replicas.size()), &registry, ops, key));
+  smr::QuorumClient* AddClient(int ops, const std::string& key = "x") {
+    clients.push_back(xft::SpawnClient(
+        &sim, static_cast<int>(replicas.size()), &registry, ops, key));
     return clients.back();
   }
 
@@ -50,7 +50,7 @@ struct XftCluster {
   sim::Simulation& sim;
   crypto::KeyRegistry registry;
   std::vector<XftReplica*> replicas;
-  std::vector<XftClient*> clients;
+  std::vector<smr::QuorumClient*> clients;
 };
 
 TEST(AnarchyPredicateTest, MatchesDeckDefinition) {
@@ -67,7 +67,7 @@ TEST(AnarchyPredicateTest, MatchesDeckDefinition) {
 
 TEST(XftTest, CommonCaseCommitsWithinSyncGroup) {
   XftCluster cluster(5);  // f = 2; sg = {0,1,2}.
-  XftClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 60 * kSecond));
@@ -82,7 +82,7 @@ TEST(XftTest, CommonCaseCommitsWithinSyncGroup) {
 
 TEST(XftTest, PassiveReplicasLearnLazily) {
   XftCluster cluster(5);
-  XftClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 60 * kSecond));
@@ -98,7 +98,7 @@ TEST(XftTest, PaxosGradeMessageCost) {
   // XFT's selling point: crash-tolerant cost for Byzantine-grade faults.
   // Messages per request stay linear in the group size, not n^2.
   XftCluster cluster(5);
-  XftClient* client = cluster.AddClient(10);
+  auto* client = cluster.AddClient(10);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 60 * kSecond));
@@ -110,7 +110,7 @@ TEST(XftTest, PaxosGradeMessageCost) {
 
 TEST(XftTest, SyncGroupMemberCrashTriggersViewChange) {
   XftCluster cluster(5);
-  XftClient* client = cluster.AddClient(12);
+  auto* client = cluster.AddClient(12);
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil([&] { return client->completed() >= 3; },
                                    30 * kSecond));
@@ -133,7 +133,7 @@ TEST(XftTest, SyncGroupMemberCrashTriggersViewChange) {
 
 TEST(XftTest, LeaderCrashTriggersViewChange) {
   XftCluster cluster(5);
-  XftClient* client = cluster.AddClient(12);
+  auto* client = cluster.AddClient(12);
   cluster.sim.Start();
   ASSERT_TRUE(cluster.sim.RunUntil([&] { return client->completed() >= 3; },
                                    30 * kSecond));
@@ -148,7 +148,7 @@ TEST(XftTest, LeaderCrashTriggersViewChange) {
 
 TEST(XftTest, SmallestClusterWorks) {
   XftCluster cluster(3);  // f = 1; sg = {0,1}.
-  XftClient* client = cluster.AddClient(8);
+  auto* client = cluster.AddClient(8);
   cluster.sim.Start();
   ASSERT_TRUE(
       cluster.sim.RunUntil([&] { return client->done(); }, 60 * kSecond));
