@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "blockchain/chain.h"
 #include "blockchain/mempool.h"
@@ -149,6 +156,234 @@ TEST(MempoolTest, TransactionsFlowThroughMiningNetwork) {
           << "miner " << m->id() << " tx " << tx.payload;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: the library's chain-following state against a full
+// rescan of the best chain, over seeded random block trees.
+// ---------------------------------------------------------------------------
+
+// Best-chain digests from genesis (exclusive) to the tip, by walking parent
+// pointers from the tip.
+std::vector<crypto::Digest> WalkBestChain(const BlockTree& tree) {
+  std::vector<crypto::Digest> chain;
+  for (crypto::Digest cursor = tree.BestTip(); !(cursor == crypto::Digest{});
+       cursor = tree.GetBlock(cursor)->header.prev_hash) {
+    chain.push_back(cursor);
+  }
+  return {chain.rbegin(), chain.rend()};
+}
+
+// The full-rescan mempool rule: after every sync, exactly the transactions
+// on the best chain are confirmed, and each confirmed transaction that left
+// the chain is back in the pool and counted as a resubmission.
+class RescanPool {
+ public:
+  bool Add(const Transaction& tx) {
+    crypto::Digest hash = tx.Hash();
+    if (known_.count(hash) > 0) return false;
+    known_[hash] = tx;
+    if (confirmed_.count(hash) == 0) pending_[hash] = tx;
+    return true;
+  }
+
+  std::vector<Transaction> Select(size_t max) const {
+    std::vector<Transaction> picked;
+    for (const auto& [hash, tx] : pending_) picked.push_back(tx);
+    std::sort(picked.begin(), picked.end(),
+              [](const Transaction& a, const Transaction& b) {
+                return a.fee > b.fee;
+              });
+    if (picked.size() > max) picked.resize(max);
+    return picked;
+  }
+
+  void Sync(const BlockTree& tree) {
+    std::set<crypto::Digest> on_chain;
+    for (const crypto::Digest& block_hash : WalkBestChain(tree)) {
+      for (const Transaction& tx : tree.GetBlock(block_hash)->txs) {
+        on_chain.insert(tx.Hash());
+        known_.emplace(tx.Hash(), tx);
+      }
+    }
+    for (const crypto::Digest& hash : on_chain) {
+      confirmed_.insert(hash);
+      pending_.erase(hash);
+    }
+    for (auto it = confirmed_.begin(); it != confirmed_.end();) {
+      if (on_chain.count(*it) == 0) {
+        pending_[*it] = known_[*it];
+        ++resubmissions_;
+        it = confirmed_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  bool IsPending(const crypto::Digest& h) const { return pending_.count(h); }
+  bool IsConfirmed(const crypto::Digest& h) const {
+    return confirmed_.count(h);
+  }
+  size_t pending_count() const { return pending_.size(); }
+  size_t confirmed_count() const { return confirmed_.size(); }
+  int resubmissions() const { return resubmissions_; }
+
+ private:
+  std::map<crypto::Digest, Transaction> pending_;
+  std::set<crypto::Digest> confirmed_;
+  std::map<crypto::Digest, Transaction> known_;
+  int resubmissions_ = 0;
+};
+
+// Grows a random block tree: mostly extends a working branch, sometimes
+// forks it off the best chain 1-6 blocks below the tip (a later overtake is
+// a reorg of that depth) or off any earlier block. Block bodies draw from a
+// small transaction set, so one transaction lands in competing branches and
+// twice on one branch.
+class ForkingTree {
+ public:
+  explicit ForkingTree(uint64_t seed) : rng_(seed), tree_(TestChain()) {
+    // Repeated fees exercise Select's ordering among equal fees.
+    for (int i = 0; i < 10; ++i) {
+      txs_.push_back(Tx("t" + std::to_string(i), i % 4));
+    }
+  }
+
+  const BlockTree& tree() const { return tree_; }
+  const std::vector<Transaction>& txs() const { return txs_; }
+  const std::vector<crypto::Digest>& blocks() const { return blocks_; }
+  uint64_t Draw(uint64_t n) { return rng_() % n; }
+
+  // Adds one block; returns the depth of the reorg it caused (0 if none).
+  size_t Grow() {
+    crypto::Digest parent = head_;
+    uint64_t r = Draw(20);
+    if (r < 5) {
+      parent = tree_.BestTip();
+      for (uint64_t d = 1 + Draw(6); d > 0 && !(parent == crypto::Digest{});
+           --d) {
+        parent = tree_.GetBlock(parent)->header.prev_hash;
+      }
+    } else if (r < 8 && !blocks_.empty()) {
+      parent = blocks_[Draw(blocks_.size())];
+    }
+    std::vector<Transaction> body;
+    for (uint64_t n = Draw(4); n > 0; --n) {
+      body.push_back(txs_[Draw(txs_.size())]);
+    }
+    Block block = MakeBlock(tree_, parent, static_cast<int32_t>(Draw(3)),
+                            static_cast<uint32_t>(10 * (blocks_.size() + 1)),
+                            std::move(body));
+    block.header.nonce = rng_();
+    std::vector<crypto::Digest> before = WalkBestChain(tree_);
+    EXPECT_TRUE(tree_.AddBlock(block).ok());
+    head_ = block.Hash();
+    blocks_.push_back(head_);
+    std::vector<crypto::Digest> after = WalkBestChain(tree_);
+    size_t common = 0;
+    while (common < before.size() && common < after.size() &&
+           before[common] == after[common]) {
+      ++common;
+    }
+    return before.size() - common;
+  }
+
+ private:
+  std::mt19937_64 rng_;
+  BlockTree tree_;
+  std::vector<Transaction> txs_;
+  std::vector<crypto::Digest> blocks_;
+  crypto::Digest head_{};
+};
+
+// The chain queries after every AddBlock equal a parent-pointer walk.
+void ExpectChainQueriesMatchWalk(const BlockTree& tree,
+                                 const std::vector<crypto::Digest>& blocks) {
+  std::vector<crypto::Digest> walk = WalkBestChain(tree);
+  ASSERT_EQ(tree.BestChain(), walk);
+  std::set<crypto::Digest> on_chain(walk.begin(), walk.end());
+  EXPECT_TRUE(tree.OnBestChain(crypto::Digest{}));
+  EXPECT_EQ(tree.Confirmations(crypto::Digest{}),
+            static_cast<int>(walk.size()) + 1);
+  int stale = 0;
+  for (const crypto::Digest& hash : blocks) {
+    bool on = on_chain.count(hash) > 0;
+    stale += on ? 0 : 1;
+    EXPECT_EQ(tree.OnBestChain(hash), on);
+    int expected = on ? static_cast<int>(walk.size() - tree.HeightOf(hash)) + 1
+                      : 0;
+    EXPECT_EQ(tree.Confirmations(hash), expected);
+  }
+  EXPECT_EQ(tree.StaleBlocks(), stale);
+}
+
+TEST(BlockTreeTest, BestChainQueriesMatchParentWalkOnRandomForks) {
+  size_t deepest_reorg = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    ForkingTree gen(seed);
+    for (int step = 0; step < 150; ++step) {
+      deepest_reorg = std::max(deepest_reorg, gen.Grow());
+      ExpectChainQueriesMatchWalk(gen.tree(), gen.blocks());
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(gen.tree().reorgs(), 0) << "seed " << seed;
+  }
+  EXPECT_GE(deepest_reorg, 4u);
+}
+
+TEST(MempoolTest, IncrementalSyncMatchesFullRescan) {
+  size_t deepest_reorg = 0;
+  int resubmitted = 0, twice_on_one_branch = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    ForkingTree gen(seed);
+    Mempool pool;
+    RescanPool ref;
+    for (int step = 0; step < 150; ++step) {
+      // Some transactions reach the pool from clients; the rest are seen
+      // only in blocks.
+      if (gen.Draw(3) == 0) {
+        const Transaction& tx = gen.txs()[gen.Draw(gen.txs().size())];
+        EXPECT_EQ(pool.Add(tx), ref.Add(tx));
+      }
+      // Zero to three blocks between syncs: none is a sync without a tip
+      // change, several model orphans connecting in one delivery.
+      for (uint64_t n = gen.Draw(4); n > 0; --n) {
+        deepest_reorg = std::max(deepest_reorg, gen.Grow());
+      }
+      pool.SyncWithChain(gen.tree());
+      ref.Sync(gen.tree());
+
+      std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      for (const Transaction& tx : gen.txs()) {
+        ASSERT_EQ(pool.IsPending(tx.Hash()), ref.IsPending(tx.Hash()))
+            << where << " " << tx.payload;
+        ASSERT_EQ(pool.IsConfirmed(tx.Hash()), ref.IsConfirmed(tx.Hash()))
+            << where << " " << tx.payload;
+      }
+      ASSERT_EQ(pool.pending_count(), ref.pending_count()) << where;
+      ASSERT_EQ(pool.confirmed_count(), ref.confirmed_count()) << where;
+      ASSERT_EQ(pool.resubmissions(), ref.resubmissions()) << where;
+      std::vector<Transaction> got = pool.Select(SIZE_MAX);
+      std::vector<Transaction> want = ref.Select(SIZE_MAX);
+      ASSERT_EQ(got.size(), want.size()) << where;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].Hash(), want[i].Hash()) << where << " rank " << i;
+      }
+    }
+    resubmitted += ref.resubmissions();
+    std::map<crypto::Digest, int> inclusions;
+    for (const crypto::Digest& hash : WalkBestChain(gen.tree())) {
+      for (const Transaction& tx : gen.tree().GetBlock(hash)->txs) {
+        if (++inclusions[tx.Hash()] == 2) ++twice_on_one_branch;
+      }
+    }
+  }
+  // The trees did exercise what the incremental path must get right.
+  EXPECT_GE(deepest_reorg, 4u);
+  EXPECT_GT(resubmitted, 0);
+  EXPECT_GT(twice_on_one_branch, 0);
 }
 
 TEST(SelfishMinerTest, MinorityAttackerGainsNothing) {
