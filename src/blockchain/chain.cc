@@ -29,8 +29,6 @@ uint64_t BlockTree::HeightOf(const crypto::Digest& hash) const {
   return e == nullptr ? 0 : e->height;
 }
 
-uint64_t BlockTree::BestHeight() const { return HeightOf(best_tip_); }
-
 double BlockTree::BestWork() const {
   const Entry* e = GetEntry(best_tip_);
   return e == nullptr ? 0 : e->work;
@@ -78,7 +76,8 @@ Status BlockTree::AddBlock(const Block& block) {
   if (parent == nullptr) {
     return Status::NotFound("orphan block: unknown parent");
   }
-  if (!(block.header.merkle_root == block.ComputeMerkleRoot())) {
+  std::vector<crypto::Digest> leaves = block.MerkleLeaves();
+  if (!(block.header.merkle_root == crypto::MerkleRoot(leaves))) {
     return Status::Corruption("merkle root mismatch");
   }
   Target expected = NextTarget(block.header.prev_hash);
@@ -97,53 +96,51 @@ Status BlockTree::AddBlock(const Block& block) {
   entry.height = parent->height + 1;
   entry.work = parent->work + block.header.target.Difficulty();
   entry.timestamp = block.header.timestamp;
-  entries_[hash] = entry;
+  entry.tx_digests.assign(leaves.begin() + 1, leaves.end());
+  const Entry& added = entries_.emplace(hash, std::move(entry)).first->second;
 
   const Entry* best = GetEntry(best_tip_);
-  if (best == nullptr || entry.work > best->work) {
+  if (best == nullptr || added.work > best->work) {
     // Longest(-work) chain rule; count branch switches as reorgs.
     if (best != nullptr && best_tip_ != block.header.prev_hash &&
         !(best_tip_ == crypto::Digest{})) {
       ++reorgs_;
     }
-    best_tip_ = hash;
+    SetBestTip(hash, added.height);
   }
   return Status::Ok();
 }
 
-std::vector<crypto::Digest> BlockTree::BestChain() const {
-  std::vector<crypto::Digest> chain;
-  crypto::Digest cursor = best_tip_;
-  while (!(cursor == crypto::Digest{})) {
-    chain.push_back(cursor);
-    const Entry* e = GetEntry(cursor);
-    if (e == nullptr) break;
-    cursor = e->block.header.prev_hash;
+void BlockTree::SetBestTip(const crypto::Digest& tip, uint64_t height) {
+  // Walk the new branch down to the first block the index already holds.
+  std::vector<crypto::Digest> branch;
+  crypto::Digest cursor = tip;
+  for (uint64_t h = height; h > 0; --h) {
+    if (h <= best_chain_.size() && best_chain_[h - 1] == cursor) break;
+    branch.push_back(cursor);
+    cursor = GetEntry(cursor)->block.header.prev_hash;
   }
-  std::reverse(chain.begin(), chain.end());
-  return chain;
+  best_chain_.resize(height - branch.size());
+  best_chain_.insert(best_chain_.end(), branch.rbegin(), branch.rend());
+  best_tip_ = tip;
+}
+
+const std::vector<crypto::Digest>* BlockTree::TxDigests(
+    const crypto::Digest& hash) const {
+  const Entry* e = GetEntry(hash);
+  return e == nullptr ? nullptr : &e->tx_digests;
 }
 
 bool BlockTree::OnBestChain(const crypto::Digest& hash) const {
-  const Entry* target = GetEntry(hash);
-  if (target == nullptr) return false;
-  crypto::Digest cursor = best_tip_;
-  while (!(cursor == crypto::Digest{})) {
-    if (cursor == hash) return true;
-    const Entry* e = GetEntry(cursor);
-    if (e == nullptr || e->height < target->height) return false;
-    cursor = e->block.header.prev_hash;
-  }
-  return hash == crypto::Digest{};
+  const Entry* e = GetEntry(hash);
+  if (e == nullptr) return false;
+  if (e->height == 0) return true;  // Genesis roots every chain.
+  return e->height <= best_chain_.size() && best_chain_[e->height - 1] == hash;
 }
 
 int BlockTree::StaleBlocks() const {
-  int stale = 0;
-  for (const auto& [hash, entry] : entries_) {
-    if (entry.height == 0) continue;  // Genesis.
-    if (!OnBestChain(hash)) ++stale;
-  }
-  return stale;
+  // Every stored block except genesis is on the best chain or stale.
+  return static_cast<int>(entries_.size() - 1 - best_chain_.size());
 }
 
 int BlockTree::Confirmations(const crypto::Digest& hash) const {
@@ -157,8 +154,8 @@ Result<crypto::MerkleProof> BlockTree::ProveInclusion(
   const Block* block = GetBlock(block_hash);
   if (block == nullptr) return Status::NotFound("unknown block");
   std::vector<crypto::Digest> leaves = block->MerkleLeaves();
-  for (size_t i = 0; i < block->txs.size(); ++i) {
-    if (block->txs[i].Hash() == tx_hash) {
+  for (size_t i = 0; i + 1 < leaves.size(); ++i) {
+    if (leaves[i + 1] == tx_hash) {
       // Leaf index i+1: the coinbase occupies leaf 0.
       return crypto::BuildMerkleProof(leaves, i + 1);
     }

@@ -40,7 +40,7 @@ class BlockTree {
 
   /// Hash of the best tip (genesis digest initially = zero digest).
   const crypto::Digest& BestTip() const { return best_tip_; }
-  uint64_t BestHeight() const;
+  uint64_t BestHeight() const { return best_chain_.size(); }
   double BestWork() const;
 
   /// The expected target for a block extending `parent_hash` (handles the
@@ -54,10 +54,19 @@ class BlockTree {
   const Block* GetBlock(const crypto::Digest& hash) const;
   uint64_t HeightOf(const crypto::Digest& hash) const;
 
-  /// Best-chain hashes from genesis (exclusive) to the tip (inclusive).
-  std::vector<crypto::Digest> BestChain() const;
+  /// Transaction digests of a stored block, in block order (its merkle
+  /// leaves after the coinbase), computed once when the block was added.
+  /// nullptr for an unknown block.
+  const std::vector<crypto::Digest>* TxDigests(
+      const crypto::Digest& hash) const;
 
-  /// True iff `hash` is on the current best chain.
+  /// Best-chain hashes from genesis (exclusive) to the tip (inclusive):
+  /// entry i is the block at height i + 1. A reference to an index that
+  /// AddBlock maintains; it changes whenever the best tip does.
+  const std::vector<crypto::Digest>& BestChain() const { return best_chain_; }
+
+  /// True iff `hash` is on the current best chain: one lookup and an
+  /// index read, no walk.
   bool OnBestChain(const crypto::Digest& hash) const;
 
   /// Number of blocks ever received that are NOT on the best chain —
@@ -90,13 +99,18 @@ class BlockTree {
     uint64_t height = 0;
     double work = 0;  ///< Cumulative work from genesis.
     uint32_t timestamp = 0;
+    std::vector<crypto::Digest> tx_digests;  ///< Merkle leaves 1..n.
   };
 
   const Entry* GetEntry(const crypto::Digest& hash) const;
+  /// Moves the best tip to `tip` and re-points best_chain_: truncate to
+  /// the fork with the old chain, then append the new branch.
+  void SetBestTip(const crypto::Digest& tip, uint64_t height);
 
   ChainOptions options_;
   std::map<crypto::Digest, Entry> entries_;
   crypto::Digest best_tip_{};  ///< Zero digest = genesis sentinel.
+  std::vector<crypto::Digest> best_chain_;  ///< [h - 1] = block at height h.
   int reorgs_ = 0;
 };
 

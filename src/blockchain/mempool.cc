@@ -1,6 +1,7 @@
 #include "blockchain/mempool.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace consensus40::blockchain {
 
@@ -25,31 +26,42 @@ std::vector<Transaction> Mempool::Select(size_t max) const {
 }
 
 void Mempool::SyncWithChain(const BlockTree& tree) {
-  std::set<crypto::Digest> on_chain;
-  for (const crypto::Digest& block_hash : tree.BestChain()) {
-    const Block* block = tree.GetBlock(block_hash);
-    for (const Transaction& tx : block->txs) {
-      crypto::Digest hash = tx.Hash();
-      on_chain.insert(hash);
-      known_.emplace(hash, tx);
+  assert(tree_ == nullptr || tree_ == &tree);
+  tree_ = &tree;
+  if (synced_tip_ == tree.BestTip()) return;
+
+  // Blocks that left the best chain, from the old tip down to the fork:
+  // one inclusion fewer for each of their transactions.
+  std::vector<crypto::Digest> left;
+  crypto::Digest fork = synced_tip_;
+  while (!tree.OnBestChain(fork)) {
+    for (const crypto::Digest& hash : *tree.TxDigests(fork)) {
+      --confirmed_[hash];
+      left.push_back(hash);
+    }
+    fork = tree.GetBlock(fork)->header.prev_hash;
+  }
+  // Blocks that joined it, from the fork up to the new tip: confirmed.
+  const std::vector<crypto::Digest>& chain = tree.BestChain();
+  for (size_t h = tree.HeightOf(fork); h < chain.size(); ++h) {
+    const std::vector<crypto::Digest>& digests = *tree.TxDigests(chain[h]);
+    const std::vector<Transaction>& txs = tree.GetBlock(chain[h])->txs;
+    for (size_t i = 0; i < txs.size(); ++i) {
+      ++confirmed_[digests[i]];
+      known_.emplace(digests[i], txs[i]);
+      pending_.erase(digests[i]);
     }
   }
-  // Newly confirmed leave the pool.
-  for (const crypto::Digest& hash : on_chain) {
-    confirmed_.insert(hash);
-    pending_.erase(hash);
+  // A transaction whose last inclusion left is aborted and resubmitted:
+  // back to pending.
+  for (const crypto::Digest& hash : left) {
+    auto it = confirmed_.find(hash);
+    if (it == confirmed_.end() || it->second > 0) continue;
+    confirmed_.erase(it);
+    pending_[hash] = known_[hash];
+    ++resubmissions_;
   }
-  // Confirmed transactions that fell off the best chain (reorg) are
-  // aborted and resubmitted: back to pending.
-  for (auto it = confirmed_.begin(); it != confirmed_.end();) {
-    if (on_chain.count(*it) == 0) {
-      pending_[*it] = known_[*it];
-      ++resubmissions_;
-      it = confirmed_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  synced_tip_ = tree.BestTip();
 }
 
 }  // namespace consensus40::blockchain

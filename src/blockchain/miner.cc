@@ -41,7 +41,10 @@ void Miner::SetHashPower(double hash_power) {
 
 void Miner::SubmitTransaction(const Transaction& tx) {
   if (!mempool_.Add(tx)) return;
-  auto msg = std::make_shared<TxMsg>(tx);
+  SendToPeers(std::make_shared<TxMsg>(tx));
+}
+
+void Miner::SendToPeers(const sim::MessagePtr& msg) {
   for (int peer = 0; peer < num_miners_; ++peer) {
     if (peer != id()) Send(peer, msg);
   }
@@ -76,25 +79,13 @@ Block Miner::BuildBlock(const crypto::Digest& parent) {
   return block;
 }
 
-void Miner::PublishBlock(const Block& block) {
-  tree_.AddBlock(block);
-  mempool_.SyncWithChain(tree_);
-  auto msg = std::make_shared<BlockMsg>(block);
-  for (int peer = 0; peer < num_miners_; ++peer) {
-    if (peer != id()) Send(peer, msg);
-  }
-}
-
 void Miner::OnBlockFound() {
   Block block = BuildBlock(MiningParent());
   Status s = tree_.AddBlock(block);
   if (s.ok()) {
     ++blocks_mined_;
     mempool_.SyncWithChain(tree_);
-    auto msg = std::make_shared<BlockMsg>(block);
-    for (int peer = 0; peer < num_miners_; ++peer) {
-      if (peer != id()) Send(peer, msg);
-    }
+    SendToPeers(std::make_shared<BlockMsg>(block));
   }
   ScheduleMining();
 }
@@ -166,10 +157,7 @@ void SelfishMiner::PublishFront(size_t count) {
     const Block& block = private_blocks_.front();
     public_height_ =
         std::max(public_height_, tree_.HeightOf(block.Hash()));
-    auto msg = std::make_shared<BlockMsg>(block);
-    for (int peer = 0; peer < num_miners_; ++peer) {
-      if (peer != id()) Send(peer, msg);
-    }
+    SendToPeers(std::make_shared<BlockMsg>(block));
     private_blocks_.erase(private_blocks_.begin());
   }
 }

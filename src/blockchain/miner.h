@@ -90,8 +90,8 @@ class Miner : public sim::Process {
   /// Builds a candidate block on `parent` with mempool transactions.
   Block BuildBlock(const crypto::Digest& parent);
 
-  /// Adds to the local tree and gossips to all peers.
-  void PublishBlock(const Block& block);
+  /// Gossips `msg` to every other miner, in id order.
+  void SendToPeers(const sim::MessagePtr& msg);
 
   /// (Re)schedules the Poisson mining clock against MiningParent().
   void ScheduleMining();

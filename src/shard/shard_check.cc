@@ -99,8 +99,8 @@ class ShardCheckAdapter : public ProtocolAdapter {
       p.tx_id = tx;
       int i = static_cast<int>(tx) - 1;
       std::string value = "t" + std::to_string(tx);
-      p.ops = {TxOp{ssm_->KeyForShard(0, i), value},
-               TxOp{ssm_->KeyForShard(1, i), value}};
+      p.ops = {TxOp::Put(ssm_->KeyForShard(0, i), value),
+               TxOp::Put(ssm_->KeyForShard(1, i), value)};
       p.at = (300 + 200 * i) * sim::kMillisecond;
       plan_.push_back(std::move(p));
     }
@@ -309,8 +309,8 @@ class ReshardCheckAdapter : public ProtocolAdapter {
       p.tx_id = tx;
       int i = static_cast<int>(tx) - 1;
       std::string value = "t" + std::to_string(tx);
-      p.ops = {TxOp{ssm_->KeyForShard(0, i), value},
-               TxOp{ssm_->KeyForShard(1, i), value}};
+      p.ops = {TxOp::Put(ssm_->KeyForShard(0, i), value),
+               TxOp::Put(ssm_->KeyForShard(1, i), value)};
       p.at = (300 + 200 * i) * sim::kMillisecond;
       plan_.push_back(std::move(p));
     }
