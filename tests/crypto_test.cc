@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/merkle.h"
@@ -42,6 +43,61 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
     h.Update(data.substr(0, split));
     h.Update(data.substr(split));
     EXPECT_EQ(h.Finish(), Sha256::Hash(data)) << "split=" << split;
+  }
+}
+
+// Deterministic bytes: no runs of equal bytes, every byte value reached.
+std::string PatternBytes(size_t len) {
+  std::string s(len, '\0');
+  for (size_t i = 0; i < len; ++i) {
+    s[i] = static_cast<char>((i * 131 + 7) & 0xff);
+  }
+  return s;
+}
+
+// Every length 0-300 crosses the 55/56 (length field no longer fits), 63/64
+// (exact block) and 119/120 padding boundaries; each length is hashed in
+// one shot, in every two-way split and in one three-way split.
+TEST(Sha256Test, SplitUpdatesMatchOneShotForEveryLength) {
+  for (size_t len = 0; len <= 300; ++len) {
+    std::string data = PatternBytes(len);
+    Digest expected = Sha256::Hash(data);
+    for (size_t split = 0; split <= len; ++split) {
+      Sha256 h;
+      h.Update(data.data(), split);
+      h.Update(data.data() + split, len - split);
+      ASSERT_EQ(h.Finish(), expected) << "len=" << len << " split=" << split;
+    }
+    size_t a = len / 3, b = 2 * len / 3;
+    Sha256 h;
+    h.Update(data.data(), a);
+    h.Update(data.data() + a, b - a);
+    h.Update(data.data() + b, len - b);
+    ASSERT_EQ(h.Finish(), expected) << "len=" << len << " three-way";
+  }
+}
+
+// Digests of PatternBytes(len) on each side of the 56- and 64-byte padding
+// boundaries, pinned from the scalar implementation and cross-checked
+// against an independent SHA-256.
+TEST(Sha256Test, PinnedDigestsAroundPaddingBoundaries) {
+  const std::pair<size_t, const char*> kPinned[] = {
+      {1, "ca358758f6d27e6cf45272937977a748fd88391db679ceda7dc7bf1f005ee879"},
+      {54, "df0dfd870292b2cb91ca3d2df4aeca24947f6ecc609d3bf6ed64dea8a4b5be69"},
+      {55, "16ed9c4697ca11d5f6fb25ea7900252dd4cb97215d7f6d0b2bb3e2a86ac0ec72"},
+      {56, "939ada93b2fe1e9c596d767bb408567c83e253667f0b25e5be8e16f35f2cbac9"},
+      {57, "ab84281f3b181e6cfc7cf870c7f3e7912be6fd1ac49c7dd6b21f6c25bb9a5eaa"},
+      {63, "6073f83b09ae82016cdbe24c18996c48f0eaa08ca675d0f6b90b807fc29e0149"},
+      {64, "b337ba9b0c69c391364e985fdcb23a889887e59800832c92fbfa22b8a3c40304"},
+      {65, "9d6a3fb113b586b4ab97bc11c993a27bd9b7bbcb756e0646083dc47a679600e6"},
+      {119, "9773fbac8194c3d789af101b49b6a26073076895ef6e0f658432849dd477a43f"},
+      {120, "070a538f085dd94821d4dc197c5c8b791051891d4fa2a1bf25d3c275236676f7"},
+      {128, "485a94e53eba9717a5d8b7b4489cad92a752f1c5722e7dfd29dd164b7c438d11"},
+      {300, "cf2eb35169ce035ca6dfb9c3a303d1495473b02fd17c5635008f1e659b733d8f"},
+  };
+  for (const auto& [len, hex] : kPinned) {
+    EXPECT_EQ(DigestToHex(Sha256::Hash(PatternBytes(len))), hex)
+        << "len=" << len;
   }
 }
 
