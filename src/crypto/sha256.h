@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -11,9 +12,21 @@ namespace consensus40::crypto {
 /// A 256-bit digest.
 using Digest = std::array<uint8_t, 32>;
 
+/// Hash-table hasher for digests: their first 8 bytes, which are already
+/// uniformly distributed.
+struct DigestHash {
+  size_t operator()(const Digest& d) const {
+    uint64_t prefix;
+    std::memcpy(&prefix, d.data(), sizeof(prefix));
+    return static_cast<size_t>(prefix);
+  }
+};
+
 /// Incremental SHA-256 (FIPS 180-4), implemented from scratch: the
 /// blockchain module mines against real SHA-256 at low difficulty and the
-/// signature scheme is built on it.
+/// signature scheme is built on it. Compression runs on the x86 SHA
+/// extensions when the CPU has them and on portable code otherwise; the
+/// digests are the same either way.
 class Sha256 {
  public:
   Sha256();
@@ -34,8 +47,6 @@ class Sha256 {
   static Digest DoubleHash(const void* data, size_t len);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_internal.h"
 #include "crypto/signatures.h"
 
 namespace consensus40::crypto {
@@ -98,6 +101,30 @@ TEST(Sha256Test, PinnedDigestsAroundPaddingBoundaries) {
   for (const auto& [len, hex] : kPinned) {
     EXPECT_EQ(DigestToHex(Sha256::Hash(PatternBytes(len))), hex)
         << "len=" << len;
+  }
+}
+
+// The SHA-extensions kernel against the portable one on seeded random
+// states and blocks, one to four blocks per call.
+TEST(Sha256KernelTest, ShaNiMatchesPortable) {
+  internal::CompressFn sha_ni = internal::ShaNiCompress();
+  if (sha_ni == nullptr) {
+    GTEST_SKIP() << "this CPU or build has no SHA extensions";
+  }
+  std::mt19937_64 rng(20201);
+  for (int trial = 0; trial < 2000; ++trial) {
+    uint32_t portable[8], fast[8];
+    for (uint32_t& word : portable) word = static_cast<uint32_t>(rng());
+    std::memcpy(fast, portable, sizeof(portable));
+    size_t num_blocks = 1 + trial % 4;
+    uint8_t blocks[4 * 64];
+    for (size_t i = 0; i < 64 * num_blocks; ++i) {
+      blocks[i] = static_cast<uint8_t>(rng());
+    }
+    internal::CompressPortable(portable, blocks, num_blocks);
+    sha_ni(fast, blocks, num_blocks);
+    ASSERT_EQ(std::memcmp(portable, fast, sizeof(fast)), 0)
+        << "trial=" << trial;
   }
 }
 
