@@ -11,6 +11,7 @@ BlockTree::BlockTree(ChainOptions options) : options_(options) {
   genesis.work = 0;
   genesis.timestamp = 0;
   genesis.block.header.target = options_.initial_target;
+  genesis.difficulty = options_.initial_target.Difficulty();
   entries_[crypto::Digest{}] = genesis;
 }
 
@@ -37,22 +38,34 @@ double BlockTree::BestWork() const {
 Target BlockTree::NextTarget(const crypto::Digest& parent_hash) const {
   const Entry* parent = GetEntry(parent_hash);
   if (parent == nullptr) return options_.initial_target;
-  uint64_t next_height = parent->height + 1;
-  Target parent_target = parent->height == 0 ? options_.initial_target
-                                             : parent->block.header.target;
-  if (next_height % options_.retarget_interval != 0 || parent->height == 0) {
+  return NextTargetAfter(*parent);
+}
+
+double BlockTree::NextDifficulty(const crypto::Digest& parent_hash) const {
+  const Entry* parent = GetEntry(parent_hash);
+  if (parent == nullptr) return options_.initial_target.Difficulty();
+  Target next = NextTargetAfter(*parent);
+  return next == parent->block.header.target ? parent->difficulty
+                                             : next.Difficulty();
+}
+
+Target BlockTree::NextTargetAfter(const Entry& parent) const {
+  uint64_t next_height = parent.height + 1;
+  // Genesis carries the initial target, so this is right at height 0 too.
+  const Target& parent_target = parent.block.header.target;
+  if (next_height % options_.retarget_interval != 0 || parent.height == 0) {
     return parent_target;
   }
   // Retarget: compare the actual time of the last interval against the
   // expected time, clamped to [1/4, 4] as in Bitcoin.
-  const Entry* span_start = parent;
+  const Entry* span_start = &parent;
   for (uint64_t i = 0; i + 1 < options_.retarget_interval; ++i) {
     const Entry* prev = GetEntry(span_start->block.header.prev_hash);
     if (prev == nullptr || prev->height == 0) break;
     span_start = prev;
   }
-  uint64_t actual = parent->timestamp > span_start->timestamp
-                        ? parent->timestamp - span_start->timestamp
+  uint64_t actual = parent.timestamp > span_start->timestamp
+                        ? parent.timestamp - span_start->timestamp
                         : 1;
   uint64_t expected =
       options_.block_interval_secs * (options_.retarget_interval - 1);
@@ -67,8 +80,9 @@ int64_t BlockTree::RewardAt(uint64_t height) const {
                      options_.halving_interval);
 }
 
-Status BlockTree::AddBlock(const Block& block) {
+Status BlockTree::AddBlock(const Block& block, crypto::Digest* hash_out) {
   crypto::Digest hash = block.Hash();
+  if (hash_out != nullptr) *hash_out = hash;
   if (entries_.count(hash) > 0) {
     return Status::AlreadyExists("duplicate block");
   }
@@ -80,7 +94,7 @@ Status BlockTree::AddBlock(const Block& block) {
   if (!(block.header.merkle_root == crypto::MerkleRoot(leaves))) {
     return Status::Corruption("merkle root mismatch");
   }
-  Target expected = NextTarget(block.header.prev_hash);
+  Target expected = NextTargetAfter(*parent);
   if (!(block.header.target == expected)) {
     return Status::InvalidArgument("wrong difficulty target");
   }
@@ -94,7 +108,12 @@ Status BlockTree::AddBlock(const Block& block) {
   Entry entry;
   entry.block = block;
   entry.height = parent->height + 1;
-  entry.work = parent->work + block.header.target.Difficulty();
+  // Difficulty() is a pure function of the target: reuse the parent's
+  // value unless this block retargeted.
+  entry.difficulty = expected == parent->block.header.target
+                         ? parent->difficulty
+                         : expected.Difficulty();
+  entry.work = parent->work + entry.difficulty;
   entry.timestamp = block.header.timestamp;
   entry.tx_digests.assign(leaves.begin() + 1, leaves.end());
   const Entry& added = entries_.emplace(hash, std::move(entry)).first->second;

@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "blockchain/block.h"
@@ -35,8 +36,9 @@ class BlockTree {
   explicit BlockTree(ChainOptions options);
 
   /// Validates and inserts a block. Errors: unknown parent (orphan),
-  /// bad PoW, wrong difficulty, bad merkle root.
-  Status AddBlock(const Block& block);
+  /// bad PoW, wrong difficulty, bad merkle root. If `hash_out` is non-null
+  /// it receives the block's header digest, whatever the outcome.
+  Status AddBlock(const Block& block, crypto::Digest* hash_out = nullptr);
 
   /// Hash of the best tip (genesis digest initially = zero digest).
   const crypto::Digest& BestTip() const { return best_tip_; }
@@ -46,6 +48,10 @@ class BlockTree {
   /// The expected target for a block extending `parent_hash` (handles the
   /// retarget boundary).
   Target NextTarget(const crypto::Digest& parent_hash) const;
+
+  /// NextTarget(parent_hash).Difficulty(), reusing the parent's stored
+  /// difficulty when the target does not change.
+  double NextDifficulty(const crypto::Digest& parent_hash) const;
 
   /// Reward for a block at the given height.
   int64_t RewardAt(uint64_t height) const;
@@ -98,17 +104,21 @@ class BlockTree {
     Block block;
     uint64_t height = 0;
     double work = 0;  ///< Cumulative work from genesis.
+    double difficulty = 0;  ///< block.header.target.Difficulty().
     uint32_t timestamp = 0;
     std::vector<crypto::Digest> tx_digests;  ///< Merkle leaves 1..n.
   };
 
   const Entry* GetEntry(const crypto::Digest& hash) const;
+  Target NextTargetAfter(const Entry& parent) const;
   /// Moves the best tip to `tip` and re-points best_chain_: truncate to
   /// the fork with the old chain, then append the new branch.
   void SetBestTip(const crypto::Digest& tip, uint64_t height);
 
   ChainOptions options_;
-  std::map<crypto::Digest, Entry> entries_;
+  /// Never iterated, so hash order cannot reach any output; the nodes stay
+  /// put, so `const Entry*` survives later inserts.
+  std::unordered_map<crypto::Digest, Entry, crypto::DigestHash> entries_;
   crypto::Digest best_tip_{};  ///< Zero digest = genesis sentinel.
   std::vector<crypto::Digest> best_chain_;  ///< [h - 1] = block at height h.
   int reorgs_ = 0;

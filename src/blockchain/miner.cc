@@ -26,7 +26,7 @@ double Miner::MeanTimeToBlockSecs() const {
   // initial difficulty and hash rate the whole network finds one block per
   // block_interval_secs; doubling the hash power halves the interval until
   // the retarget doubles D.
-  double difficulty = tree_.NextTarget(MiningParent()).Difficulty();
+  double difficulty = tree_.NextDifficulty(MiningParent());
   double rate = hash_power_ * params_->initial_difficulty /
                 (difficulty * params_->initial_hash_total *
                  params_->chain.block_interval_secs);
@@ -126,7 +126,8 @@ void Miner::OnMessage(sim::NodeId, const sim::Message& msg) {
   const auto* m = dynamic_cast<const BlockMsg*>(&msg);
   if (m == nullptr) return;
   crypto::Digest old_tip = tree_.BestTip();
-  Status s = tree_.AddBlock(m->block);
+  crypto::Digest hash;
+  Status s = tree_.AddBlock(m->block, &hash);
   if (s.IsNotFound()) {
     // Orphan: parent still in flight.
     orphans_.insert({m->block.header.prev_hash, m->block});
@@ -134,7 +135,7 @@ void Miner::OnMessage(sim::NodeId, const sim::Message& msg) {
   }
   TryConnectOrphans();
   mempool_.SyncWithChain(tree_);
-  OnExternalBlock(m->block);
+  OnExternalBlock(m->block, hash);
   OnChainUpdated(old_tip, tree_.BestTip());
 }
 
@@ -143,21 +144,20 @@ void Miner::OnMessage(sim::NodeId, const sim::Message& msg) {
 // ---------------------------------------------------------------------------
 
 crypto::Digest SelfishMiner::MiningParent() const {
-  if (!private_blocks_.empty()) return private_blocks_.back().Hash();
+  if (!private_blocks_.empty()) return private_blocks_.back().hash;
   return tree_.BestTip();
 }
 
-void SelfishMiner::OnExternalBlock(const Block& block) {
-  uint64_t h = tree_.HeightOf(block.Hash());
-  public_height_ = std::max(public_height_, h);
+void SelfishMiner::OnExternalBlock(const Block& /*block*/,
+                                   const crypto::Digest& hash) {
+  public_height_ = std::max(public_height_, tree_.HeightOf(hash));
 }
 
 void SelfishMiner::PublishFront(size_t count) {
   for (size_t i = 0; i < count && !private_blocks_.empty(); ++i) {
-    const Block& block = private_blocks_.front();
-    public_height_ =
-        std::max(public_height_, tree_.HeightOf(block.Hash()));
-    SendToPeers(std::make_shared<BlockMsg>(block));
+    const PrivateBlock& front = private_blocks_.front();
+    public_height_ = std::max(public_height_, tree_.HeightOf(front.hash));
+    SendToPeers(std::make_shared<BlockMsg>(front.block));
     private_blocks_.erase(private_blocks_.begin());
   }
 }
@@ -165,10 +165,11 @@ void SelfishMiner::PublishFront(size_t count) {
 void SelfishMiner::OnBlockFound() {
   // Extend the private chain and keep the block to ourselves.
   Block block = BuildBlock(MiningParent());
-  if (tree_.AddBlock(block).ok()) {
+  crypto::Digest hash;
+  if (tree_.AddBlock(block, &hash).ok()) {
     ++blocks_mined_;
     ++withheld_total_;
-    private_blocks_.push_back(block);
+    private_blocks_.push_back({std::move(block), hash});
     mempool_.SyncWithChain(tree_);
   }
   ScheduleMining();
@@ -180,7 +181,7 @@ void SelfishMiner::OnChainUpdated(const crypto::Digest& /*old_tip*/,
     ScheduleMining();  // Honest behaviour while we hold no lead.
     return;
   }
-  uint64_t private_height = tree_.HeightOf(private_blocks_.back().Hash());
+  uint64_t private_height = tree_.HeightOf(private_blocks_.back().hash);
   uint64_t public_height = public_height_;
 
   if (private_height < public_height) {

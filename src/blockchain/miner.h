@@ -84,8 +84,10 @@ class Miner : public sim::Process {
                               const crypto::Digest& new_tip);
 
   /// Invoked for every external block that connected to the tree, before
-  /// OnChainUpdated. Lets adversarial strategies track the public chain.
-  virtual void OnExternalBlock(const Block& block) { (void)block; }
+  /// OnChainUpdated, with the digest AddBlock computed for it. Lets
+  /// adversarial strategies track the public chain.
+  virtual void OnExternalBlock(const Block& /*block*/,
+                               const crypto::Digest& /*hash*/) {}
 
   /// Builds a candidate block on `parent` with mempool transactions.
   Block BuildBlock(const crypto::Digest& parent);
@@ -129,12 +131,17 @@ class SelfishMiner : public Miner {
   void OnBlockFound() override;
   void OnChainUpdated(const crypto::Digest& old_tip,
                       const crypto::Digest& new_tip) override;
-  void OnExternalBlock(const Block& block) override;
+  void OnExternalBlock(const Block& block, const crypto::Digest& hash) override;
 
  private:
+  struct PrivateBlock {
+    Block block;
+    crypto::Digest hash;  ///< As AddBlock computed it.
+  };
+
   void PublishFront(size_t count);
 
-  std::vector<Block> private_blocks_;  ///< Unpublished private suffix.
+  std::vector<PrivateBlock> private_blocks_;  ///< Unpublished private suffix.
   uint64_t public_height_ = 0;  ///< Highest height of any published block.
   int withheld_total_ = 0;
 };
