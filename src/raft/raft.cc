@@ -134,11 +134,40 @@ std::optional<std::vector<sim::NodeId>> RaftReplica::ParseConfig(
 }
 
 void RaftReplica::RecomputeConfig() {
-  config_ = snapshot_config_;
-  for (const LogEntry& entry : log_) {
-    auto parsed = ParseConfig(entry.cmd);
-    if (parsed) config_ = *parsed;
+  config_ = config_indices_.empty()
+                ? snapshot_config_
+                : *ParseConfig(EntryAt(config_indices_.back()).cmd);
+}
+
+void RaftReplica::AppendToLog(LogEntry entry) {
+  if (ParseConfig(entry.cmd)) config_indices_.push_back(LogEnd() + 1);
+  log_.push_back(std::move(entry));
+}
+
+void RaftReplica::TruncateLogAfter(uint64_t index) {
+  log_.resize(index - log_start_);
+  while (!config_indices_.empty() && config_indices_.back() > index) {
+    config_indices_.pop_back();
   }
+}
+
+std::optional<std::vector<sim::NodeId>> RaftReplica::CompactLogThrough(
+    uint64_t index) {
+  uint64_t last_config = 0;
+  while (!config_indices_.empty() && config_indices_.front() <= index) {
+    last_config = config_indices_.front();
+    config_indices_.pop_front();
+  }
+  std::optional<std::vector<sim::NodeId>> config;
+  if (last_config > 0) config = ParseConfig(EntryAt(last_config).cmd);
+  if (index >= LogEnd()) {
+    log_.clear();
+  } else {
+    log_.erase(log_.begin(),
+               log_.begin() + static_cast<long>(index - log_start_));
+  }
+  log_start_ = index;
+  return config;
 }
 
 Status RaftReplica::ChangeConfig(std::vector<sim::NodeId> new_config) {
@@ -149,12 +178,10 @@ Status RaftReplica::ChangeConfig(std::vector<sim::NodeId> new_config) {
     return Status::InvalidArgument("empty configuration");
   }
   // One change at a time: any uncommitted config entry blocks the next.
-  for (uint64_t i = commit_index_; i < LogEnd(); ++i) {
-    if (ParseConfig(EntryAt(i + 1).cmd)) {
-      return Status::FailedPrecondition("a config change is in flight");
-    }
+  if (!config_indices_.empty() && config_indices_.back() > commit_index_) {
+    return Status::FailedPrecondition("a config change is in flight");
   }
-  log_.push_back(LogEntry{current_term_, MakeConfigCommand(new_config)});
+  AppendToLog(LogEntry{current_term_, MakeConfigCommand(new_config)});
   config_ = std::move(new_config);  // Effective when appended.
   BroadcastAppendEntries();
   return Status::Ok();
@@ -255,7 +282,7 @@ void RaftReplica::BecomeLeader() {
   // (Raft paper §8). Every uncommitted entry here is prior-term: the
   // candidate bumped its term before winning.
   if (LogEnd() > commit_index_) {
-    log_.push_back(
+    AppendToLog(
         LogEntry{current_term_, smr::Command{smr::kNoopClient, 0, "NOOP"}});
   }
   BroadcastAppendEntries();  // Immediate heartbeat asserts leadership.
@@ -279,12 +306,12 @@ void RaftReplica::FlushBatch() {
     size_t take = std::min(batch_queue_.size(), max_take);
     if (take == 1) {
       // A lone command ships raw, keeping the untuned log shape.
-      log_.push_back(LogEntry{current_term_, batch_queue_.front()});
+      AppendToLog(LogEntry{current_term_, batch_queue_.front()});
     } else {
       std::vector<smr::Command> cmds(batch_queue_.begin(),
                                      batch_queue_.begin() +
                                          static_cast<long>(take));
-      log_.push_back(LogEntry{current_term_, smr::EncodeBatch(cmds)});
+      AppendToLog(LogEntry{current_term_, smr::EncodeBatch(cmds)});
       ++batches_cut_;
     }
     batch_queue_.erase(batch_queue_.begin(),
@@ -414,13 +441,8 @@ void RaftReplica::MaybeTakeSnapshot() {
   // The applied state machine IS the snapshot: record the boundary term
   // and the configuration in effect at the boundary, drop the prefix.
   snapshot_term_ = TermOfEntry(last_applied_);
-  for (uint64_t i = log_start_; i < last_applied_; ++i) {
-    auto config = ParseConfig(EntryAt(i + 1).cmd);
-    if (config) snapshot_config_ = *config;
-  }
-  log_.erase(log_.begin(),
-             log_.begin() + static_cast<long>(last_applied_ - log_start_));
-  log_start_ = last_applied_;
+  auto config = CompactLogThrough(last_applied_);
+  if (config) snapshot_config_ = std::move(*config);
   ++snapshots_taken_;
 }
 
@@ -620,12 +642,12 @@ void RaftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
             violations_.push_back("truncating committed entry " +
                                   std::to_string(index));
           }
-          log_.resize(index - log_start_);
-          log_.push_back(entry);
+          TruncateLogAfter(index);
+          AppendToLog(entry);
           log_changed = true;
         }
       } else {
-        log_.push_back(entry);
+        AppendToLog(entry);
         log_changed = true;
       }
       ++index;
@@ -662,13 +684,7 @@ void RaftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     }
     kv_.Restore(m->data);
     dedup_.Restore(m->sessions);
-    if (m->last_index >= LogEnd()) {
-      log_.clear();
-    } else {
-      log_.erase(log_.begin(),
-                 log_.begin() + static_cast<long>(m->last_index - log_start_));
-    }
-    log_start_ = m->last_index;
+    CompactLogThrough(m->last_index);
     snapshot_term_ = m->last_term;
     if (!m->config.empty()) snapshot_config_ = m->config;
     RecomputeConfig();

@@ -169,9 +169,18 @@ class RaftReplica : public sim::Process {
   void MaybeServeReads();
   /// Fails every pending/gated read with a redirect (leadership lost).
   void FailPendingReads();
-  /// Re-derives config_ from the snapshot config + latest log entry;
-  /// called after any log mutation (append, truncate, snapshot install).
+  /// Re-derives config_ from the last tracked config entry, or the
+  /// snapshot config if the log holds none; called after a follower's log
+  /// changes (append, truncate, snapshot install).
   void RecomputeConfig();
+  /// The only ways log_ changes; each keeps config_indices_ in step.
+  void AppendToLog(LogEntry entry);
+  /// Drops every entry after global index `index`.
+  void TruncateLogAfter(uint64_t index);
+  /// Drops the prefix through global index `index` (the whole log if it
+  /// ends there) and moves log_start_ to it. Returns the config of the last
+  /// dropped config entry, if any.
+  std::optional<std::vector<sim::NodeId>> CompactLogThrough(uint64_t index);
   int Majority() const { return static_cast<int>(config_.size()) / 2 + 1; }
   bool IsVoter(sim::NodeId node) const;
   void SendAppendEntries(sim::NodeId peer);
@@ -201,6 +210,8 @@ class RaftReplica : public sim::Process {
   int64_t snapshot_term_ = 0;  ///< Term of the last compacted entry.
   std::vector<sim::NodeId> config_;           ///< Effective configuration.
   std::vector<sim::NodeId> snapshot_config_;  ///< Config at log_start_.
+  /// Global indices of the config entries in log_, ascending.
+  std::deque<uint64_t> config_indices_;
   bool heard_from_leader_ = false;  ///< For join_passive servers.
 
   // Volatile state.
