@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -197,7 +198,7 @@ void Sha256::Update(const void* data, size_t len) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   bit_count_ += static_cast<uint64_t>(len) * 8;
   if (buffer_len_ > 0) {
-    size_t take = len < 64 - buffer_len_ ? len : 64 - buffer_len_;
+    size_t take = std::min(len, 64 - buffer_len_);
     std::memcpy(buffer_ + buffer_len_, p, take);
     buffer_len_ += take;
     p += take;
